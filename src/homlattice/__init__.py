@@ -28,12 +28,20 @@ from .flats import FlatLattice, Flat, compute_mobius, enumerate_flats
 from .graphs import (
     Graph,
     VertexPartition,
+    biclique,
     canonical_form,
     canonical_representative,
+    clique,
     count_automorphisms,
+    cycle,
+    edgeless,
     generate,
     is_isomorphic,
+    path,
     quotient,
+    spider,
+    star,
+    windmill,
 )
 from .oracle import (
     brute_hom,

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HomlatticeError, HostError, ensure_pattern_size
-from .flats import compute_mobius, enumerate_flats, iter_set_partitions
-from .graphs import (Graph, VertexPartition, canonical_form,
-                     canonical_representative, connected_components, quotient)
+from .flats import enumerate_flats
+from .graphs import Graph, _group_quotients, canonical_form
 from .restrictions import EMB, Restriction, apply_restriction
 from .treedp import hom_count
 
@@ -91,20 +90,13 @@ def expand(restriction, pattern, limit=None):
         if hit is not None:
             return BasisExpansion(pattern, restriction, hit)
     constraint = apply_restriction(restriction, pattern)
-    lattice = compute_mobius(enumerate_flats(constraint, limit))
-    groups = {}
-    for flat, mu in zip(lattice.flats, lattice.mobius):
-        q = quotient(pattern, flat.partition)
-        if not q.is_loop_free():
-            continue
-        key = canonical_form(q, limit)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [mu, canonical_representative(q, limit)]
-        else:
-            entry[0] += mu
+    lattice = enumerate_flats(constraint, limit)
+    groups = _group_quotients(
+        pattern, zip((flat.partition for flat in lattice.flats),
+                     lattice.mobius), limit)
     terms = []
-    for key, (coeff, rep) in groups.items():
+    for key, (rep, mus) in groups.items():
+        coeff = sum(mus)
         if coeff == 0:
             raise AssertionError("condensed coefficient vanished")
         removed = pattern.n - rep.n
@@ -161,30 +153,19 @@ def is_congruent(combination):
 def hom_to_embedding_basis(pattern, limit=None):
     """Plain homomorphism count as a sum of embedding counts of quotients.
 
-    Runs over the full partition lattice of the vertex set, not just
-    constraint-graph flats: merging any vertex subset is allowed as long
-    as the quotient stays loop-free. Multiplicities count the partitions
+    Runs over the flats of the complete graph, which are all partitions
+    of the vertex set: merging any vertex subset is allowed as long as
+    the quotient stays loop-free. Multiplicities count the partitions
     landing in each isomorphism class, so all weights are positive.
     """
     if not pattern.is_loop_free():
         raise HomlatticeError("pattern must be loop-free")
-    ensure_pattern_size(pattern.n, limit)
-    groups = {}
-    for labels in iter_set_partitions(pattern.n):
-        part = VertexPartition.from_labels(labels)
-        q = quotient(pattern, part)
-        if not q.is_loop_free():
-            continue
-        key = canonical_form(q, limit)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [1, canonical_representative(q, limit)]
-        else:
-            entry[0] += 1
-    reps = sorted(groups.values(), key=lambda e: (-e[1].n,
-                                                  canonical_form(e[1])))
+    lattice = enumerate_flats(apply_restriction(EMB, pattern), limit)
+    groups = _group_quotients(
+        pattern, ((flat.partition, 1) for flat in lattice.flats), limit)
+    classes = sorted(groups.items(), key=lambda kv: (-kv[1][0].n, kv[0]))
     return LinearCombination.build(
-        [(count, EMB, rep) for count, rep in reps])
+        [(len(ones), EMB, rep) for _, (rep, ones) in classes])
 
 
 def serialize_expansion(expansion):

@@ -5,14 +5,18 @@ partition of V(F) whose blocks all induce connected subgraphs of F. The
 rank of a flat is |V(F)| minus its number of blocks. Flats are ordered by
 refinement; the Mobius function of the lattice (bottom fixed at the
 all-singleton flat) drives the signed expansions in the basis module.
+Flats are generated directly, block by connected block, and since the
+interval below a flat is the product of its blocks' bond lattices (Rota
+1964), mu(bottom, flat) is the product of per-block values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HomlatticeError, ensure_pattern_size
-from .graphs import Graph, VertexPartition
+from .graphs import Graph, VertexPartition, connected_components
 
 
 @dataclass(frozen=True)
@@ -23,17 +27,23 @@ class Flat:
 
 @dataclass(frozen=True)
 class FlatLattice:
-    """All flats of one constraint graph, sorted by nondecreasing rank.
+    """All flats of one constraint graph, sorted by rank, then by
+    ``partition.key()``, with ``mobius`` holding mu(bottom, flat) per flat.
 
-    ``leq[i]`` is a bitmask whose bit j is set when flats[j] <= flats[i].
-    ``mobius`` holds mu(bottom, flat) per flat once computed; it is None on
-    a freshly enumerated lattice.
+    ``leq[i]`` is a bitmask whose bit j is set when flats[j] <= flats[i];
+    it is built on first access.
     """
 
     constraint: Graph
     flats: tuple
-    leq: tuple
-    mobius: tuple = None
+    mobius: tuple
+
+    @cached_property
+    def leq(self):
+        return tuple(sum(1 << j for j, lo in enumerate(self.flats)
+                         if lo.rank <= hi.rank
+                         and partition_leq(lo.partition, hi.partition))
+                     for hi in self.flats)
 
     def bottom(self):
         return self.flats[0]
@@ -67,35 +77,10 @@ def iter_set_partitions(n):
             maxes[w] = maxes[v]
 
 
-def _mask_is_connected(mask, adj_masks):
-    """Whether the vertex bitmask induces a connected subgraph."""
-    if mask == 0:
-        return False
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        grow = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            grow |= adj_masks[low.bit_length() - 1]
-        grow &= mask & ~seen
-        seen |= grow
-        frontier = grow
-    return seen == mask
-
-
 def blocks_connected(graph, partition):
     """Whether every block of the partition induces a connected subgraph."""
-    adj_masks, _ = graph.adjacency_masks()
-    for block in partition.blocks:
-        mask = 0
-        for v in block:
-            mask |= 1 << v
-        if not _mask_is_connected(mask, adj_masks):
-            return False
-    return True
+    return all(connected_components(graph.induced(block))[0] == 1
+               for block in partition.blocks)
 
 
 def partition_leq(a, b):
@@ -112,71 +97,86 @@ def partition_leq(a, b):
     return True
 
 
+class _Blocks:
+    """Connected vertex sets of one constraint graph, given by adjacency
+    bitmasks, and their Mobius values; memoised for one call."""
+
+    def __init__(self, adj):
+        self.adj, self.sets, self.values = adj, {}, {}
+
+    def connected(self, allowed):
+        """Connected subsets of allowed that hold its lowest vertex; each
+        branch takes the lowest candidate or bans it from then on."""
+        if allowed not in self.sets:
+            adj = self.adj
+            found = self.sets[allowed] = []
+            low = allowed & -allowed
+            stack = [(low, adj[low.bit_length() - 1] & allowed, 0)]
+            while stack:
+                s, cand, banned = stack.pop()
+                found.append(s)
+                while cand:
+                    w = cand & -cand
+                    cand ^= w
+                    more = adj[w.bit_length() - 1] & allowed & ~(s | banned)
+                    stack.append((s | w, cand | more, banned))
+                    banned |= w
+        return self.sets[allowed]
+
+    def edgeless(self, mask):
+        return not any(self.adj[v] & mask for v in range(len(self.adj))
+                       if mask >> v & 1)
+
+    def mu(self, s):
+        """mu(S) = -sum mu(T) over connected T strictly inside S that hold
+        min(S) and leave S - T edgeless; a single vertex has value 1."""
+        if s not in self.values:
+            self.values[s] = 1 if s & (s - 1) == 0 else -sum(
+                self.mu(t) for t in self.connected(s)
+                if t != s and self.edgeless(s & ~t))
+        return self.values[s]
+
+
 def enumerate_flats(constraint, limit=None):
     """Lattice of flats of the graphic matroid of a loop-free graph.
 
-    Generates every set partition of the vertex set and keeps those whose
-    blocks are all connected in the constraint graph.
+    Builds each flat directly: the block of the lowest uncovered vertex
+    runs over its connected sets among the uncovered vertices, the rest is
+    partitioned alike, and mu(bottom, flat) multiplies the blocks' values.
     """
     if not constraint.is_loop_free():
         raise HomlatticeError("constraint graph must be loop-free")
     n = constraint.n
     ensure_pattern_size(n, limit)
-    adj_masks, _ = constraint.adjacency_masks()
+    blocks = _Blocks(constraint.adjacency_masks()[0])
+    rows = []
+    stack = [((1 << n) - 1, (), 1)]
+    while stack:
+        uncovered, chosen, mu = stack.pop()
+        if not uncovered:
+            key = tuple(tuple(v for v in range(n) if b >> v & 1)
+                        for b in chosen)
+            rows.append((n - len(chosen), key, mu))
+            continue
+        for t in blocks.connected(uncovered):
+            stack.append((uncovered & ~t, chosen + (t,), mu * blocks.mu(t)))
+    rows.sort()
     flats = []
-    for labels in iter_set_partitions(n):
-        nblocks = max(labels) + 1 if labels else 0
-        blocks = [0] * nblocks
-        for v, lab in enumerate(labels):
-            blocks[lab] |= 1 << v
-        if all(_mask_is_connected(b, adj_masks) for b in blocks):
-            part = VertexPartition.from_labels(labels)
-            flats.append(Flat(part, n - nblocks))
-    flats.sort(key=lambda f: (f.rank, f.partition.key()))
-    reps = [tuple(min(b) for b in flat.partition.blocks) for flat in flats]
-    leq = []
-    for i, hi in enumerate(flats):
-        hi_of = hi.partition.block_of
-        mask = 0
-        for j, lo in enumerate(flats):
-            if lo.rank > hi.rank:
-                break
-            lo_of = lo.partition.block_of
-            lo_rep = reps[j]
-            if all(hi_of[v] == hi_of[lo_rep[lo_of[v]]] for v in range(n)):
-                mask |= 1 << j
-        leq.append(mask)
-    return FlatLattice(constraint, tuple(flats), tuple(leq))
+    for rank, key, _ in rows:
+        label = {v: i for i, block in enumerate(key) for v in block}
+        part = VertexPartition(tuple(map(frozenset, key)),
+                               tuple(label[v] for v in range(n)))
+        flats.append(Flat(part, rank))
+    return FlatLattice(constraint, tuple(flats), tuple(r[2] for r in rows))
 
 
 def compute_mobius(lattice):
-    """Fill in mu(bottom, .) by the defining recursion.
-
-    Flats are already sorted by nondecreasing rank, so each value only
-    depends on earlier entries.
-    """
-    mobius = []
-    for i, flat in enumerate(lattice.flats):
-        if flat.rank == 0:
-            mobius.append(1)
-            continue
-        below = lattice.leq[i] & ~(1 << i)
-        total = 0
-        j = 0
-        while below:
-            if below & 1:
-                total += mobius[j]
-            below >>= 1
-            j += 1
-        mobius.append(-total)
-    return FlatLattice(lattice.constraint, lattice.flats, lattice.leq,
-                       tuple(mobius))
+    """The lattice as it is: ``enumerate_flats`` already fills in mu."""
+    return lattice
 
 
 def sign_rule_holds(lattice):
     """Whether every mu value is nonzero with sign (-1)^rank."""
-    if lattice.mobius is None:
-        raise HomlatticeError("lattice has no Mobius values, compute them first")
     for flat, mu in zip(lattice.flats, lattice.mobius):
         if mu == 0:
             return False

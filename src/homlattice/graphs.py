@@ -327,10 +327,43 @@ def canonical_representative(graph, limit=None):
     relabel = [0] * graph.n
     for pos, old in enumerate(perm):
         relabel[old] = pos
-    out = graph.relabeled(relabel)
-    if out.selfloops_allowed and out.is_loop_free():
-        out = Graph(out.n, out.edges, selfloops_allowed=False)
-    return out
+    edges = [(relabel[u], relabel[v]) for u, v in graph.edges]
+    return Graph(graph.n, edges, selfloops_allowed=bool(graph.loops()))
+
+
+def _labelled_key(graph):
+    """Key of the graph's own labelling, built chunk by chunk as in
+    ``_canonical_search``; for a canonical representative it is the
+    canonical key, so no second search is needed."""
+    masks, loop_mask = graph.adjacency_masks()
+    chunks = []
+    for v in range(graph.n):
+        chunk = (loop_mask >> v) & 1
+        for u in range(v):
+            chunk = (chunk << 1) | ((masks[v] >> u) & 1)
+        chunks.append(chunk)
+    return (graph.n,) + tuple(chunks)
+
+
+def _group_quotients(graph, items, limit):
+    """Loop-free quotients of the graph grouped by isomorphism class.
+
+    ``items`` yields (partition, value) pairs. Returns a dict from each
+    canonical key to (canonical representative, values of the partitions
+    whose quotient falls in the class), in first-seen order. Quotients
+    with a selfloop are dropped; each other one takes one canonical search.
+    """
+    groups = {}
+    for partition, value in items:
+        q = quotient(graph, partition)
+        if not q.is_loop_free():
+            continue
+        rep = canonical_representative(q, limit)
+        key = _labelled_key(rep)
+        if key not in groups:
+            groups[key] = (rep, [])
+        groups[key][1].append(value)
+    return groups
 
 
 def is_isomorphic(a, b, limit=None):

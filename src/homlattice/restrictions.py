@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 from .errors import HomlatticeError, ParseError, ensure_pattern_size
 from .flats import blocks_connected, enumerate_flats
-from .graphs import (Graph, VertexPartition, bfs_distances, canonical_form,
-                     canonical_representative, is_isomorphic, quotient,
-                     spider, spider_parts, windmill, windmill_parts)
+from .graphs import (Graph, VertexPartition, _group_quotients, bfs_distances,
+                     quotient, spider, spider_parts, windmill, windmill_parts)
 
 
 @dataclass(frozen=True)
@@ -162,15 +161,8 @@ def restriction_minors(restriction, pattern, limit=None):
     ensure_pattern_size(pattern.n, limit)
     constraint = apply_restriction(restriction, pattern)
     lattice = enumerate_flats(constraint, limit)
-    groups = {}
-    for flat in lattice.flats:
-        q = quotient(pattern, flat.partition)
-        if not q.is_loop_free():
-            continue
-        key = canonical_form(q, limit)
-        if key not in groups:
-            groups[key] = (canonical_representative(q, limit), [])
-        groups[key][1].append(flat)
+    groups = _group_quotients(
+        pattern, ((flat.partition, flat) for flat in lattice.flats), limit)
     entries = [MinorEntry(key, rep, tuple(fl))
                for key, (rep, fl) in groups.items()]
     entries.sort(key=lambda e: (-e.graph.n, e.key))

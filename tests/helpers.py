@@ -3,7 +3,10 @@
 from functools import lru_cache
 from itertools import combinations
 
-from homlattice.graphs import Graph, canonical_form, canonical_representative
+from homlattice.flats import blocks_connected, iter_set_partitions, \
+    partition_leq
+from homlattice.graphs import Graph, VertexPartition, canonical_form, \
+    canonical_representative
 
 
 def random_graph(rng, n, p=0.5):
@@ -97,3 +100,23 @@ def all_trees(max_n):
             out.append(Graph(n, [(relabel[u], relabel[v])
                                  for u, v in tree.edges()]))
     return tuple(out)
+
+
+def flats_by_filter(constraint):
+    """Second oracle for ``enumerate_flats``: keep the set partitions whose
+    blocks are connected in the constraint graph, sort them by rank, then
+    partition key, and fill in mu(bottom, .) by the defining recursion in
+    that order. Returns (partition, rank, mu) triples."""
+    n = constraint.n
+    flats = []
+    for labels in iter_set_partitions(n):
+        part = VertexPartition.from_labels(labels)
+        if blocks_connected(constraint, part):
+            flats.append((n - part.num_blocks(), part))
+    flats.sort(key=lambda f: (f[0], f[1].key()))
+    mobius = []
+    for rank, hi in flats:
+        below = sum(mu for (_, lo), mu in zip(flats, mobius)
+                    if partition_leq(lo, hi))
+        mobius.append(1 if rank == 0 else -below)
+    return [(part, rank, mu) for (rank, part), mu in zip(flats, mobius)]

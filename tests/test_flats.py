@@ -8,8 +8,8 @@ from homlattice.flats import (
     partition_leq,
     sign_rule_holds,
 )
-from homlattice.graphs import VertexPartition, clique, path
-from helpers import random_graph
+from homlattice.graphs import Graph, VertexPartition, clique, cycle, path
+from helpers import flats_by_filter, graphs_up_to, random_graph
 
 
 def test_set_partition_counts_are_bell_numbers():
@@ -20,6 +20,27 @@ def test_set_partition_counts_are_bell_numbers():
 def test_clique_flats_are_all_partitions():
     for n, bell in [(3, 5), (4, 15), (5, 52), (6, 203)]:
         assert len(enumerate_flats(clique(n)).flats) == bell
+
+
+def test_generator_matches_filter_oracle():
+    """Flats, ranks and mu agree with filtering all set partitions and
+    running the defining recursion, on every graph with at most 6
+    vertices."""
+    for g in (Graph(0),) + graphs_up_to(6):
+        lattice = enumerate_flats(g)
+        got = [(flat.partition, flat.rank, mu)
+               for flat, mu in zip(lattice.flats, lattice.mobius)]
+        assert got == flats_by_filter(g)
+
+
+def test_large_clique_flats_are_bell_numbers():
+    for n, bell in [(7, 877), (8, 4140), (9, 21147)]:
+        assert len(enumerate_flats(clique(n)).flats) == bell
+
+
+def test_sign_rule_on_larger_graphs():
+    assert sign_rule_holds(enumerate_flats(clique(8)))
+    assert sign_rule_holds(enumerate_flats(cycle(9)))
 
 
 def test_path_flats_exclude_disconnected_blocks():

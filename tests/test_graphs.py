@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from homlattice.graphs import (
     Graph,
     VertexPartition,
+    _labelled_key,
     bfs_distances,
     canonical_form,
     canonical_representative,
@@ -135,6 +136,18 @@ def test_is_isomorphic_accepts_relabelings(g, rnd):
     assert is_isomorphic(g, g.relabeled(perm))
     rep = canonical_representative(g)
     assert canonical_form(rep) == canonical_form(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_strategy)
+def test_representative_spells_out_its_key(g):
+    """Quotient grouping reads each class key off the canonical
+    representative instead of searching a second time."""
+    pairs = VertexPartition.from_labels([v // 2 for v in range(g.n)])
+    for h in (g, quotient(g, pairs)):
+        rep = canonical_representative(h)
+        assert _labelled_key(rep) == canonical_form(h)
+        assert rep.loops() or not rep.selfloops_allowed
 
 
 @settings(max_examples=100, deadline=None)
