@@ -78,7 +78,6 @@ from .treedp import (
     TreeDecomposition,
     count_homomorphisms,
     hom_count,
-    make_nice,
     treewidth_exact,
     validate_decomposition,
 )

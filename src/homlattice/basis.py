@@ -10,10 +10,12 @@ coefficient is nonzero, and its sign is determined by how many vertices
 the contraction removed; these facts are asserted at expansion time
 rather than assumed.
 
-Evaluation runs each minor through the tree-decomposition counter, so the
-cost per term is |V(G)|^(width+1); building an expansion enumerates the
-constraint graph's flats, which is bounded by the Bell number of the
-pattern size.
+Evaluation counts each minor's homomorphisms by bucket elimination along
+its exact-treewidth order, so the cost per term is |V(G)|^(width+1);
+building an expansion enumerates the constraint graph's flats, which is
+bounded by the Bell number of the pattern size. The pattern itself takes
+one canonical search, which gives both the cache key and the
+representative of its own class.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from fractions import Fraction
 
 from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .flats import enumerate_flats
-from .graphs import Graph, _group_quotients, canonical_form
+from .graphs import (Graph, _group_quotients, _labelled_key,
+                     canonical_representative)
 from .restrictions import EMB, Restriction, apply_restriction
 from .treedp import hom_count
 
@@ -83,9 +86,12 @@ def expand(restriction, pattern, limit=None):
         raise HomlatticeError("pattern must be loop-free")
     ensure_pattern_size(pattern.n, limit)
     token = restriction.token()
-    cache_key = None
+    cache_key = bottom = None
     if token is not None:
-        cache_key = (canonical_form(pattern, limit), token)
+        rep = canonical_representative(pattern, limit)
+        key = _labelled_key(rep)
+        bottom = (key, rep)
+        cache_key = (key, token)
         hit = _expansion_cache.get(cache_key)
         if hit is not None:
             return BasisExpansion(pattern, restriction, hit)
@@ -93,7 +99,7 @@ def expand(restriction, pattern, limit=None):
     lattice = enumerate_flats(constraint, limit)
     groups = _group_quotients(
         pattern, zip((flat.partition for flat in lattice.flats),
-                     lattice.mobius), limit)
+                     lattice.mobius), limit, bottom)
     terms = []
     for key, (rep, mus) in groups.items():
         coeff = sum(mus)

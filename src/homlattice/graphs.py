@@ -345,21 +345,26 @@ def _labelled_key(graph):
     return (graph.n,) + tuple(chunks)
 
 
-def _group_quotients(graph, items, limit):
+def _group_quotients(graph, items, limit, bottom=None):
     """Loop-free quotients of the graph grouped by isomorphism class.
 
     ``items`` yields (partition, value) pairs. Returns a dict from each
     canonical key to (canonical representative, values of the partitions
     whose quotient falls in the class), in first-seen order. Quotients
-    with a selfloop are dropped; each other one takes one canonical search.
+    with a selfloop are dropped; each other one takes one canonical search,
+    except that a given ``bottom`` (key, representative) pair of the graph
+    itself serves the all-singletons partition.
     """
     groups = {}
     for partition, value in items:
-        q = quotient(graph, partition)
-        if not q.is_loop_free():
-            continue
-        rep = canonical_representative(q, limit)
-        key = _labelled_key(rep)
+        if bottom is not None and partition.num_blocks() == graph.n:
+            key, rep = bottom
+        else:
+            q = quotient(graph, partition)
+            if not q.is_loop_free():
+                continue
+            rep = canonical_representative(q, limit)
+            key = _labelled_key(rep)
         if key not in groups:
             groups[key] = (rep, [])
         groups[key][1].append(value)

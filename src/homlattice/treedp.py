@@ -1,25 +1,31 @@
-"""Exact treewidth and homomorphism counting over tree decompositions.
+"""Exact treewidth and homomorphism counting by bucket elimination.
 
 Treewidth is computed exactly by dynamic programming over subsets of the
 vertex set (elimination-order formulation), so patterns must stay within
-the global size limit. Homomorphism counts run over a nice decomposition
-with leaf, introduce, forget and join nodes; tables map bag assignments to
-arbitrary-precision counts, so host graphs can be large as long as the
+the global size limit. The optimal order is cached per pattern graph.
+Homomorphism counts eliminate the pattern's vertices along that order
+(Dechter 1999): each vertex's bucket of factors, together with its
+pattern edges to vertices not yet eliminated, is summed over the host's
+vertices into one factor on the remaining neighbours. No scope exceeds
+the order's width, so a term costs |V(host)|^(width+1) at most. Buckets
+of width one pass length-|V(host)| vectors along host adjacency. Counts
+are arbitrary-precision integers, so hosts can be large as long as the
 width stays small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import HomlatticeError, HostError, ensure_pattern_size
-from .graphs import Graph, component_subgraphs
+from .graphs import component_subgraphs
 
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Bags indexed 0..k-1 connected by tree edges; root marks node 0 of the
-    rooted traversal used by the counting DP."""
+    """Bags indexed 0..k-1 connected by tree edges; root marks the node
+    that ``count_homomorphisms`` hangs the tree from."""
 
     bags: tuple
     edges: tuple
@@ -105,20 +111,19 @@ def _boundary_size(adj_masks, elim_mask, v):
     return bin(boundary).count("1")
 
 
-def treewidth_exact(graph, limit=None):
-    """Exact treewidth and a witnessing decomposition.
+@lru_cache(maxsize=1024)
+def _exact_order(graph):
+    """(width, order) of an optimal elimination order of a loop-free graph.
 
     Subset dynamic programming over elimination prefixes: the cost of a set
     S is the best possible width of an ordering eliminating S first. Ties
     between eliminated vertices break toward the smallest index, so the
-    witness is deterministic.
+    order is deterministic. Graphs are immutable and hashable, and terms
+    are canonical representatives, so repeated queries hit the cache.
     """
-    if not graph.is_loop_free():
-        raise HomlatticeError("treewidth is defined here for loop-free graphs")
     n = graph.n
-    ensure_pattern_size(n, limit)
     if n == 0:
-        return -1, TreeDecomposition((frozenset(),), ())
+        return -1, ()
     adj_masks, _ = graph.adjacency_masks()
     full = (1 << n) - 1
     cost = [-1] * (full + 1)
@@ -146,252 +151,244 @@ def treewidth_exact(graph, limit=None):
         order.append(v)
         mask ^= 1 << v
     order.reverse()
+    return cost[full], tuple(order)
 
-    # Build bags by simulated elimination with fill-in.
-    work = list(adj_masks)
-    bags = []
+
+def _checked_order(graph, limit):
+    if not graph.is_loop_free():
+        raise HomlatticeError("treewidth is defined here for loop-free graphs")
+    ensure_pattern_size(graph.n, limit)
+    return _exact_order(graph)
+
+
+def treewidth_exact(graph, limit=None):
+    """Exact treewidth and a witnessing decomposition.
+
+    Bag i holds the i-th vertex of the optimal order and its neighbours
+    among later vertices after fill-in; its parent is the bag of the
+    earliest of those neighbours, or bag i + 1 when there is none. The
+    tree is rooted at the last bag.
+    """
+    width, order = _checked_order(graph, limit)
+    if not order:
+        return -1, TreeDecomposition((frozenset(),), ())
+    work, _ = graph.adjacency_masks()
     position = {v: i for i, v in enumerate(order)}
-    for v in order:
+    bags = []
+    edges = []
+    for i, v in enumerate(order):
         neigh = work[v]
-        bag = {v}
-        rest = neigh
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            bag.add(low.bit_length() - 1)
-        bags.append(frozenset(bag))
+        later = []
         rest = neigh
         while rest:
             low = rest & -rest
             rest ^= low
             u = low.bit_length() - 1
+            later.append(u)
             work[u] |= neigh & ~low
             work[u] &= ~(1 << v)
-        work[v] = 0
-    edges = []
-    last_seen = {}
-    for i, v in enumerate(order):
-        others = [u for u in bags[i] if u != v]
-        if others:
-            j = min(position[u] for u in others)
-            edges.append((i, j))
-        else:
-            anchor = last_seen.get(v)
-            if anchor is None and i + 1 < len(order):
-                edges.append((i, i + 1))
-            elif anchor is not None:
-                edges.append((i, anchor))
-        for u in bags[i]:
-            last_seen[u] = i
-    # Deduplicate and trim to a spanning tree of the bag nodes.
-    td = _as_tree(bags, edges)
+        bags.append(frozenset([v, *later]))
+        if i + 1 < len(order):
+            edges.append((i, min((position[u] for u in later),
+                                 default=i + 1)))
+    td = TreeDecomposition(tuple(bags), tuple(edges), root=len(order) - 1)
     validate_decomposition(td, graph)
-    assert td.width == cost[full]
-    return cost[full], td
+    if td.width != width:
+        raise AssertionError("decomposition width differs from the order's")
+    return width, td
 
 
-def _as_tree(bags, edges):
-    k = len(bags)
-    parent = list(range(k))
+def _order_of(td):
+    """Vertices in decreasing depth of the topmost bag holding each one.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    kept = []
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            kept.append((a, b))
-    roots = {find(x) for x in range(k)}
-    root_list = sorted(roots)
-    for extra in root_list[1:]:
-        kept.append((root_list[0], extra))
-        parent[find(extra)] = find(root_list[0])
-    return TreeDecomposition(tuple(bags), tuple(kept))
-
-
-def make_nice(td):
-    """Rebuild a decomposition in nice form without increasing the width.
-
-    The result is rooted at an empty bag, every leaf is an empty bag, and
-    every internal node either introduces one vertex, forgets one vertex,
-    or joins two children with identical bags.
+    Eliminating in this order keeps every scope inside one bag, so the
+    elimination width is at most the decomposition's width.
     """
     k = len(td.bags)
     adj = [[] for _ in range(k)]
     for a, b in td.edges:
         adj[a].append(b)
         adj[b].append(a)
-    bags = []
-    edges = []
-
-    def new_node(bag):
-        bags.append(frozenset(bag))
-        return len(bags) - 1
-
-    def chain(child_idx, child_bag, target_bag):
-        cur_idx, cur = child_idx, set(child_bag)
-        for v in sorted(child_bag - target_bag):
-            cur.discard(v)
-            idx = new_node(cur)
-            edges.append((idx, cur_idx))
-            cur_idx = idx
-        for v in sorted(target_bag - child_bag):
-            cur.add(v)
-            idx = new_node(cur)
-            edges.append((idx, cur_idx))
-            cur_idx = idx
-        return cur_idx
-
-    def build(node, parent):
-        bag = td.bags[node]
-        kids = [c for c in adj[node] if c != parent]
-        if not kids:
-            leaf = new_node(frozenset())
-            return chain(leaf, frozenset(), bag)
-        tops = []
-        for c in kids:
-            ci = build(c, node)
-            tops.append(chain(ci, td.bags[c], bag))
-        while len(tops) > 1:
-            a = tops.pop()
-            b = tops.pop()
-            j = new_node(bag)
-            edges.append((j, a))
-            edges.append((j, b))
-            tops.append(j)
-        return tops[0]
-
-    top = build(td.root if 0 <= td.root < k else 0, -1)
-    root_bag = td.bags[td.root if 0 <= td.root < k else 0]
-    root = chain(top, root_bag, frozenset())
-    return TreeDecomposition(tuple(bags), tuple(edges), root=root)
+    root = td.root if 0 <= td.root < k else 0
+    depth = {root: 0}
+    top = {}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for v in td.bags[node]:
+                top.setdefault(v, depth[node])
+            for child in adj[node]:
+                if child not in depth:
+                    depth[child] = depth[node] + 1
+                    nxt.append(child)
+        frontier = nxt
+    return sorted(top, key=lambda v: (-top[v], v))
 
 
-def _node_kinds(td):
-    """Classify each node of a rooted nice decomposition."""
-    k = len(td.bags)
-    adj = [[] for _ in range(k)]
-    for a, b in td.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    kinds = {}
-    order = []
-    stack = [(td.root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        kids = [c for c in adj[node] if c != parent]
-        order.append((node, kids))
-        for c in kids:
-            stack.append((c, node))
-    for node, kids in order:
-        bag = td.bags[node]
-        if not kids:
-            if bag:
-                raise HomlatticeError("nice form violated: nonempty leaf")
-            kinds[node] = ("leaf",)
-        elif len(kids) == 1:
-            child_bag = td.bags[kids[0]]
-            if len(bag) == len(child_bag) + 1 and child_bag < bag:
-                (v,) = bag - child_bag
-                kinds[node] = ("introduce", v)
-            elif len(bag) == len(child_bag) - 1 and bag < child_bag:
-                (v,) = child_bag - bag
-                kinds[node] = ("forget", v)
-            else:
-                raise HomlatticeError("nice form violated: bad unary node")
-        elif len(kids) == 2:
-            if td.bags[kids[0]] != bag or td.bags[kids[1]] != bag:
-                raise HomlatticeError("nice form violated: join bags differ")
-            kinds[node] = ("join",)
+def _vector_message(pattern, adj, v, scope, bucket):
+    """Sum v out of a bucket of unary factors with at most one neighbour
+    left: msg[y] is the sum over host neighbours x of y of the product of
+    the factors at x. Takes the same arguments as ``_join``."""
+    weights = None
+    for _, table in bucket:
+        weights = table if weights is None else [
+            a * b for a, b in zip(weights, table)]
+    if not scope:
+        return len(adj) if weights is None else sum(weights)
+    if weights is None:
+        return [len(near) for near in adj]
+    at = weights.__getitem__
+    return [sum(map(at, near)) for near in adj]
+
+
+def _trie(scope, table, rank):
+    """Nested dicts keyed by the scope's variables in rank order, with the
+    factor's nonzero values at the leaves."""
+    if isinstance(table, list):
+        return {x: c for x, c in enumerate(table) if c}
+    perm = sorted(range(len(scope)), key=lambda j: rank[scope[j]])
+    last = perm.pop()
+    trie = {}
+    for key, value in table.items():
+        node = trie
+        for j in perm:
+            node = node.setdefault(key[j], {})
+        node[key[last]] = value
+    return trie
+
+
+def _join(pattern, adj, v, scope, bucket):
+    """Sum v out of any bucket by one join over v and then the scope.
+
+    A variable's candidates are the host neighbourhoods of its pattern
+    neighbours assigned before it, intersected with the trie level of
+    every factor that holds it. Pattern edges already used by an earlier
+    bucket may prune again, since an edge indicator is idempotent.
+    """
+    variables = (v,) + scope
+    rank = {u: i for i, u in enumerate(variables)}
+    earlier = [[j for j in range(i) if variables[j] in pattern.neighbors(u)]
+               for i, u in enumerate(variables)]
+    # steps[i]: (slot read, slot written or None for a leaf value) per
+    # factor holding variable i; a factor's trie walks down its slots.
+    steps = [[] for _ in variables]
+    slots = []
+    for f_scope, table in bucket:
+        base = len(slots)
+        slots.append(_trie(f_scope, table, rank))
+        slots.extend([None] * (len(f_scope) - 1))
+        for t, u in enumerate(sorted(f_scope, key=rank.__getitem__)):
+            write = base + t + 1 if t + 1 < len(f_scope) else None
+            steps[rank[u]].append((base + t, write))
+    last = len(variables) - 1
+    image = [0] * len(variables)
+    out = {}
+
+    def extend(i, weight):
+        sets = [adj[image[j]] for j in earlier[i]]
+        sets += [slots[read] for read, _ in steps[i]]
+        sets.sort(key=len)
+        candidates = sets[0] if sets else range(len(adj))
+        for other in sets[1:]:
+            candidates = (other.keys() & candidates if isinstance(other, dict)
+                          else other.intersection(candidates))
+        if i == last:
+            prefix = tuple(image[1:i])
+            leaves = [slots[read] for read, _ in steps[i]]
+            for x in candidates:
+                w = weight
+                for leaf in leaves:
+                    w *= leaf[x]
+                key = prefix + (x,)
+                out[key] = out.get(key, 0) + w
+            return
+        for x in candidates:
+            w = weight
+            for read, write in steps[i]:
+                if write is None:
+                    w *= slots[read][x]
+                else:
+                    slots[write] = slots[read][x]
+            image[i] = x
+            extend(i + 1, w)
+
+    extend(0, 1)
+    # With an empty scope the keys are v's own values.
+    if not scope:
+        return sum(out.values())
+    if len(scope) == 1:
+        vector = [0] * len(adj)
+        for (y,), c in out.items():
+            vector[y] = c
+        return vector
+    return out
+
+
+def _eliminate(pattern, host, order, width):
+    """Homomorphism count by bucket elimination along the given order.
+
+    Factors are (scope, table) pairs: a list over host vertices for one
+    variable, a dict of nonzero entries keyed by scope tuples for more.
+    Pattern edges stay implicit as host adjacency, each used by the bucket
+    of its first eliminated endpoint.
+    """
+    adj = [host.neighbors(x) for x in range(host.n)]
+    total = 1
+    factors = []
+    done = set()
+    for v in order:
+        done.add(v)
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        scope = {u for u in pattern.neighbors(v) if u not in done}
+        for f_scope, _ in bucket:
+            scope.update(f_scope)
+        scope.discard(v)
+        if len(scope) > width:
+            raise AssertionError("elimination scope exceeds the order's width")
+        scope = tuple(sorted(scope))
+        unary = len(scope) <= 1 and all(len(s) == 1 for s, _ in bucket)
+        step = _vector_message if unary else _join
+        table = step(pattern, adj, v, scope, bucket)
+        if not scope:
+            total *= table
+        elif table:
+            factors.append((scope, table))
         else:
-            raise HomlatticeError("nice form violated: node with >2 children")
-    return kinds, list(reversed(order))
+            return 0
+        if total == 0:
+            return 0
+    return total
 
 
 def count_homomorphisms(pattern, host, td):
     """Number of homomorphisms from pattern into host, given a valid
-    decomposition of the pattern. Counts are exact Python integers."""
+    decomposition of the pattern. Eliminates along an order taken from
+    the decomposition, rooted at ``td.root``; counts are exact Python
+    integers."""
     if not pattern.is_loop_free():
         raise HomlatticeError("pattern must be loop-free")
     if not host.is_loop_free():
         raise HostError("host must be loop-free")
     validate_decomposition(td, pattern)
-    nice = make_nice(td)
-    kinds, postorder = _node_kinds(nice)
-    host_adj = [host.neighbors(v) for v in range(host.n)]
-    all_hosts = list(range(host.n))
-    tables = {}
-    for node, kids in postorder:
-        kind = kinds[node]
-        if kind[0] == "leaf":
-            tables[node] = {(): 1}
-        elif kind[0] == "introduce":
-            v = kind[1]
-            bag = sorted(nice.bags[node])
-            pos = bag.index(v)
-            child = kids[0]
-            child_table = tables.pop(child)
-            neigh_pos = []
-            for u in pattern.neighbors(v):
-                if u in nice.bags[node]:
-                    i = bag.index(u)
-                    neigh_pos.append(i - 1 if i > pos else i)
-            table = {}
-            if neigh_pos:
-                for key, cnt in child_table.items():
-                    candidate_sets = sorted(
-                        (host_adj[key[i]] for i in neigh_pos), key=len)
-                    base = candidate_sets[0]
-                    rest = candidate_sets[1:]
-                    for g in base:
-                        if all(g in s for s in rest):
-                            table[key[:pos] + (g,) + key[pos:]] = cnt
-            else:
-                for key, cnt in child_table.items():
-                    for g in all_hosts:
-                        table[key[:pos] + (g,) + key[pos:]] = cnt
-            tables[node] = table
-        elif kind[0] == "forget":
-            v = kind[1]
-            child = kids[0]
-            child_bag = sorted(nice.bags[child])
-            pos = child_bag.index(v)
-            table = {}
-            for key, cnt in tables.pop(child).items():
-                short = key[:pos] + key[pos + 1:]
-                table[short] = table.get(short, 0) + cnt
-            tables[node] = table
-        else:
-            a, b = kids
-            ta = tables.pop(a)
-            tb = tables.pop(b)
-            if len(tb) < len(ta):
-                ta, tb = tb, ta
-            table = {}
-            for key, cnt in ta.items():
-                other = tb.get(key)
-                if other is not None:
-                    table[key] = cnt * other
-            tables[node] = table
-    return tables[nice.root].get((), 0)
+    return _eliminate(pattern, host, _order_of(td), td.width)
 
 
 def hom_count(pattern, host, limit=None):
-    """Homomorphism count with decompositions built per component.
+    """Homomorphism count by elimination along each component's exact
+    treewidth order.
 
     Disconnected patterns factor into a product over their components.
     """
     if pattern.n == 0:
         return 1
+    if not host.is_loop_free():
+        raise HostError("host must be loop-free")
     total = 1
     for _, comp in component_subgraphs(pattern):
-        _, td = treewidth_exact(comp, limit)
-        total *= count_homomorphisms(comp, host, td)
+        width, order = _checked_order(comp, limit)
+        total *= _eliminate(comp, host, order, width)
         if total == 0:
             return 0
     return total

@@ -3,10 +3,12 @@
 from functools import lru_cache
 from itertools import combinations
 
+from homlattice.errors import HomlatticeError, HostError
 from homlattice.flats import blocks_connected, iter_set_partitions, \
     partition_leq
 from homlattice.graphs import Graph, VertexPartition, canonical_form, \
     canonical_representative
+from homlattice.treedp import TreeDecomposition, validate_decomposition
 
 
 def random_graph(rng, n, p=0.5):
@@ -120,3 +122,171 @@ def flats_by_filter(constraint):
                     if partition_leq(lo, hi))
         mobius.append(1 if rank == 0 else -below)
     return [(part, rank, mu) for (rank, part), mu in zip(flats, mobius)]
+
+
+def make_nice(td):
+    """Rebuild a decomposition in nice form without increasing the width.
+
+    The result is rooted at an empty bag, every leaf is an empty bag, and
+    every internal node either introduces one vertex, forgets one vertex,
+    or joins two children with identical bags.
+    """
+    k = len(td.bags)
+    adj = [[] for _ in range(k)]
+    for a, b in td.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    bags = []
+    edges = []
+
+    def new_node(bag):
+        bags.append(frozenset(bag))
+        return len(bags) - 1
+
+    def chain(child_idx, child_bag, target_bag):
+        cur_idx, cur = child_idx, set(child_bag)
+        for v in sorted(child_bag - target_bag):
+            cur.discard(v)
+            idx = new_node(cur)
+            edges.append((idx, cur_idx))
+            cur_idx = idx
+        for v in sorted(target_bag - child_bag):
+            cur.add(v)
+            idx = new_node(cur)
+            edges.append((idx, cur_idx))
+            cur_idx = idx
+        return cur_idx
+
+    def build(node, parent):
+        bag = td.bags[node]
+        kids = [c for c in adj[node] if c != parent]
+        if not kids:
+            leaf = new_node(frozenset())
+            return chain(leaf, frozenset(), bag)
+        tops = []
+        for c in kids:
+            ci = build(c, node)
+            tops.append(chain(ci, td.bags[c], bag))
+        while len(tops) > 1:
+            a = tops.pop()
+            b = tops.pop()
+            j = new_node(bag)
+            edges.append((j, a))
+            edges.append((j, b))
+            tops.append(j)
+        return tops[0]
+
+    top = build(td.root if 0 <= td.root < k else 0, -1)
+    root_bag = td.bags[td.root if 0 <= td.root < k else 0]
+    root = chain(top, root_bag, frozenset())
+    return TreeDecomposition(tuple(bags), tuple(edges), root=root)
+
+
+def _node_kinds(td):
+    """Classify each node of a rooted nice decomposition."""
+    k = len(td.bags)
+    adj = [[] for _ in range(k)]
+    for a, b in td.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    kinds = {}
+    order = []
+    stack = [(td.root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        kids = [c for c in adj[node] if c != parent]
+        order.append((node, kids))
+        for c in kids:
+            stack.append((c, node))
+    for node, kids in order:
+        bag = td.bags[node]
+        if not kids:
+            if bag:
+                raise HomlatticeError("nice form violated: nonempty leaf")
+            kinds[node] = ("leaf",)
+        elif len(kids) == 1:
+            child_bag = td.bags[kids[0]]
+            if len(bag) == len(child_bag) + 1 and child_bag < bag:
+                (v,) = bag - child_bag
+                kinds[node] = ("introduce", v)
+            elif len(bag) == len(child_bag) - 1 and bag < child_bag:
+                (v,) = child_bag - bag
+                kinds[node] = ("forget", v)
+            else:
+                raise HomlatticeError("nice form violated: bad unary node")
+        elif len(kids) == 2:
+            if td.bags[kids[0]] != bag or td.bags[kids[1]] != bag:
+                raise HomlatticeError("nice form violated: join bags differ")
+            kinds[node] = ("join",)
+        else:
+            raise HomlatticeError("nice form violated: node with >2 children")
+    return kinds, list(reversed(order))
+
+
+def nice_dp_count(pattern, host, td):
+    """Second oracle for the elimination engine: the homomorphism count by
+    the leaf/introduce/forget/join DP over a nice form of a valid
+    decomposition of the pattern. Counts are exact Python integers."""
+    if not pattern.is_loop_free():
+        raise HomlatticeError("pattern must be loop-free")
+    if not host.is_loop_free():
+        raise HostError("host must be loop-free")
+    validate_decomposition(td, pattern)
+    nice = make_nice(td)
+    kinds, postorder = _node_kinds(nice)
+    host_adj = [host.neighbors(v) for v in range(host.n)]
+    all_hosts = list(range(host.n))
+    tables = {}
+    for node, kids in postorder:
+        kind = kinds[node]
+        if kind[0] == "leaf":
+            tables[node] = {(): 1}
+        elif kind[0] == "introduce":
+            v = kind[1]
+            bag = sorted(nice.bags[node])
+            pos = bag.index(v)
+            child = kids[0]
+            child_table = tables.pop(child)
+            neigh_pos = []
+            for u in pattern.neighbors(v):
+                if u in nice.bags[node]:
+                    i = bag.index(u)
+                    neigh_pos.append(i - 1 if i > pos else i)
+            table = {}
+            if neigh_pos:
+                for key, cnt in child_table.items():
+                    candidate_sets = sorted(
+                        (host_adj[key[i]] for i in neigh_pos), key=len)
+                    base = candidate_sets[0]
+                    rest = candidate_sets[1:]
+                    for g in base:
+                        if all(g in s for s in rest):
+                            table[key[:pos] + (g,) + key[pos:]] = cnt
+            else:
+                for key, cnt in child_table.items():
+                    for g in all_hosts:
+                        table[key[:pos] + (g,) + key[pos:]] = cnt
+            tables[node] = table
+        elif kind[0] == "forget":
+            v = kind[1]
+            child = kids[0]
+            child_bag = sorted(nice.bags[child])
+            pos = child_bag.index(v)
+            table = {}
+            for key, cnt in tables.pop(child).items():
+                short = key[:pos] + key[pos + 1:]
+                table[short] = table.get(short, 0) + cnt
+            tables[node] = table
+        else:
+            a, b = kids
+            ta = tables.pop(a)
+            tb = tables.pop(b)
+            if len(tb) < len(ta):
+                ta, tb = tb, ta
+            table = {}
+            for key, cnt in ta.items():
+                other = tb.get(key)
+                if other is not None:
+                    table[key] = cnt * other
+            tables[node] = table
+    return tables[nice.root].get((), 0)

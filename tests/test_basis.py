@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homlattice import basis, graphs
 from homlattice.basis import (
     LinearCombination,
     count_restricted,
@@ -71,6 +72,22 @@ def test_expansion_is_cached_per_isomorphism_class():
     second = expand(LI, relabeled)
     assert first.terms == second.terms
     assert second.pattern == relabeled
+
+
+def test_expand_searches_the_pattern_once(monkeypatch):
+    searched = []
+    search = graphs._canonical_search
+    monkeypatch.setattr(graphs, "_canonical_search",
+                        lambda g: searched.append(g) or search(g))
+    monkeypatch.setattr(basis, "_expansion_cache", {})
+    # Every proper quotient of a clique carries a selfloop, so the pattern
+    # is the only graph an emb expansion needs to search.
+    assert serialize_expansion(expand(EMB, clique(5))) == (
+        "+1\t5\t" + ";".join(f"{u + 1}-{v + 1}"
+                              for u, v in clique(5).edge_list()))
+    assert len(searched) == 1
+    expand(EMB, clique(5))
+    assert len(searched) == 2  # a cache hit still needs the key
 
 
 def test_evaluate_rejects_loopy_hosts():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from homlattice import treedp
 from homlattice.errors import HomlatticeError, PatternSizeError
 from homlattice.graphs import Graph, biclique, clique, cycle, path, star
 from homlattice.oracle import brute_hom
@@ -9,11 +10,11 @@ from homlattice.treedp import (
     TreeDecomposition,
     count_homomorphisms,
     hom_count,
-    make_nice,
     treewidth_exact,
     validate_decomposition,
 )
-from helpers import random_graph, random_host
+from helpers import (all_trees, graphs_up_to, make_nice, nice_dp_count,
+                     random_graph, random_host)
 
 
 def test_exact_treewidth_values():
@@ -36,6 +37,11 @@ def test_treewidth_respects_pattern_limit():
         treewidth_exact(path(13))
     width, _ = treewidth_exact(path(13), limit=13)
     assert width == 1
+    # The order is cached now; the size check still runs on every call.
+    with pytest.raises(PatternSizeError):
+        treewidth_exact(path(13))
+    with pytest.raises(PatternSizeError):
+        hom_count(path(13), path(2))
 
 
 def test_decomposition_validates():
@@ -54,6 +60,55 @@ def test_nice_form_still_validates():
     nice = make_nice(td)
     validate_decomposition(nice, graph)
     assert not nice.bags[nice.root]
+
+
+def _wider_decompositions(pattern):
+    """Valid decompositions wider than the optimum: one bag holding every
+    vertex, with a pendant bag per vertex and the root at a pendant."""
+    n = pattern.n
+    bags = (frozenset(range(n)),) + tuple(frozenset([v]) for v in range(n))
+    edges = tuple((0, v + 1) for v in range(n))
+    return [TreeDecomposition(bags[:1], ()),
+            TreeDecomposition(bags, edges, root=1)]
+
+
+def test_engine_matches_both_oracles():
+    rng = random.Random(31)
+    hosts = [Graph(0), Graph(4), Graph(6, [(0, 1), (1, 2), (0, 2)]),
+             random_host(rng, 6, 9), random_graph(rng, 5, 0.7)]
+    for pattern in (Graph(0),) + graphs_up_to(5):
+        _, td = treewidth_exact(pattern)
+        rerooted = TreeDecomposition(td.bags, td.edges, root=0)
+        wider = _wider_decompositions(pattern) if pattern.n else []
+        for host in hosts:
+            expected = brute_hom(pattern, host)
+            assert hom_count(pattern, host) == expected
+            assert nice_dp_count(pattern, host, td) == expected
+            for given in [td, rerooted] + wider:
+                assert count_homomorphisms(pattern, host, given) == expected
+
+
+def test_vector_path_matches_general_join(monkeypatch):
+    rng = random.Random(37)
+    host = random_host(rng, 40, 90)
+    join = treedp._join
+    joined = []
+    monkeypatch.setattr(treedp, "_join",
+                        lambda *args: joined.append(args) or join(*args))
+    trees = all_trees(7)
+    vector = [hom_count(tree, host) for tree in trees]
+    assert not joined  # every bucket of a tree takes the vector path
+    monkeypatch.setattr(treedp, "_join", join)
+    monkeypatch.setattr(treedp, "_vector_message", join)
+    assert [hom_count(tree, host) for tree in trees] == vector
+    assert vector == [nice_dp_count(tree, host, treewidth_exact(tree)[1])
+                      for tree in trees]
+
+
+def test_scope_beyond_width_is_caught():
+    _, order = treedp._exact_order(cycle(4))
+    with pytest.raises(AssertionError):
+        treedp._eliminate(cycle(4), clique(3), order, 1)
 
 
 def test_counts_match_brute_force():
