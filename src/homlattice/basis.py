@@ -16,6 +16,14 @@ building an expansion enumerates the constraint graph's flats, which is
 bounded by the Bell number of the pattern size. The pattern itself takes
 one canonical search, which gives both the cache key and the
 representative of its own class.
+
+Expansions under built-in restrictions are cached in one least recently
+used cache of at most ``_EXPANSION_CACHE_SIZE`` entries. Each expansion
+is stored under its class key (canonical key, restriction token) and
+under the labelled key (pattern ``Graph``, token) it was asked for, so a
+re-queried labelled pattern needs no canonical search and an isomorphic
+relabelling needs one. ``expansion_cache_info`` and
+``expansion_cache_clear`` report on and empty the cache.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cache import LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .flats import enumerate_flats
 from .graphs import (Graph, _group_quotients, _labelled_key,
@@ -72,28 +81,43 @@ class LinearCombination:
         return len(self.terms)
 
 
-_expansion_cache = {}
+_EXPANSION_CACHE_SIZE = 2048
+_expansion_cache = LRUCache(_EXPANSION_CACHE_SIZE)
+
+
+def expansion_cache_info():
+    """Hits, misses, bound and size of the expansion cache."""
+    return _expansion_cache.info()
+
+
+def expansion_cache_clear():
+    """Forget every cached expansion."""
+    _expansion_cache.clear()
 
 
 def expand(restriction, pattern, limit=None):
     """Signed minor expansion of the restricted count for this pattern.
 
-    Results for built-in restrictions are cached per isomorphism class;
-    custom restrictions are never cached since nothing ties their output
+    Results for built-in restrictions are cached per labelled pattern and
+    per isomorphism class; custom restrictions are never cached since nothing ties their output
     to the pattern's isomorphism class.
     """
     if not pattern.is_loop_free():
         raise HomlatticeError("pattern must be loop-free")
     ensure_pattern_size(pattern.n, limit)
     token = restriction.token()
-    cache_key = bottom = None
+    bottom = None
     if token is not None:
-        rep = canonical_representative(pattern, limit)
-        key = _labelled_key(rep)
-        bottom = (key, rep)
-        cache_key = (key, token)
-        hit = _expansion_cache.get(cache_key)
+        labelled = (pattern, token)
+        hit = _expansion_cache.get(labelled)
         if hit is not None:
+            return BasisExpansion(pattern, restriction, hit)
+        rep = canonical_representative(pattern, limit)
+        bottom = (_labelled_key(rep), rep)
+        class_key = (bottom[0], token)
+        hit = _expansion_cache.get(class_key)
+        if hit is not None:
+            _expansion_cache.put(labelled, hit)
             return BasisExpansion(pattern, restriction, hit)
     constraint = apply_restriction(restriction, pattern)
     lattice = enumerate_flats(constraint, limit)
@@ -114,8 +138,9 @@ def expand(restriction, pattern, limit=None):
     if lead is None or lead.graph.n != pattern.n or lead.coefficient != 1:
         raise AssertionError("leading expansion term is not the pattern")
     terms = tuple(terms)
-    if cache_key is not None:
-        _expansion_cache[cache_key] = terms
+    if token is not None:
+        _expansion_cache.put(class_key, terms)
+        _expansion_cache.put(labelled, terms)
     return BasisExpansion(pattern, restriction, terms)
 
 

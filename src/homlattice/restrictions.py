@@ -9,9 +9,11 @@ every constraint edge get distinct images. Built-in kinds:
   li     pairs with a common neighbor, locally injective homomorphisms
   li:R   pairs with a witness vertex at distance 1..R from both endpoints
 
-``li`` and ``li:1`` produce identical constraint graphs through different
-code paths. Custom restrictions supply their own builder and are validated
-for vertex preservation and loop-freeness.
+``li`` and ``li:1`` are the same restriction: both build the
+common-neighbour constraint graph and share one cache token, so their
+expansions share a cache entry; only ``label`` tells them apart. Custom
+restrictions supply their own builder and are validated for vertex
+preservation and loop-freeness.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class Restriction:
         """Cache token; None when results must not be cached."""
         if self.kind == "custom":
             return None
-        return (self.kind, self.radius)
+        return (self.kind, None if self.radius == 1 else self.radius)
 
     def label(self):
         if self.kind == "li" and self.radius is not None:
@@ -119,7 +121,7 @@ def apply_restriction(restriction, pattern):
         return Graph(pattern.n, [(u, v) for u in range(pattern.n)
                                  for v in range(u + 1, pattern.n)])
     if kind == "li":
-        if restriction.radius is None:
+        if restriction.radius in (None, 1):
             return Graph(pattern.n, _common_neighbor_edges(pattern))
         return Graph(pattern.n,
                      _radius_witness_edges(pattern, restriction.radius))

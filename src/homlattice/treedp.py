@@ -11,6 +11,18 @@ the order's width, so a term costs |V(host)|^(width+1) at most. Buckets
 of width one pass length-|V(host)| vectors along host adjacency. Counts
 are arbitrary-precision integers, so hosts can be large as long as the
 width stays small.
+
+``hom_count`` memoises the count of each connected component of its
+pattern per host, so the terms of different expansions, the components
+of disconnected quotients and the entries of a linear combination on one
+host are each counted once. The memo is keyed by the host and then by
+the component ``Graph``, both matched by identity first and then by
+equality. It holds the ``_MEMO_HOSTS`` most recently used hosts and at
+most ``_MEMO_TERMS`` counts per host, each level least recently used
+first out, so a stream of large hosts cannot pin memory. The host and
+pattern checks run on every call, hit or miss. ``hom_cache_info`` and
+``hom_cache_clear`` report on and empty the memo;
+``count_homomorphisms`` never uses it.
 """
 
 from __future__ import annotations
@@ -18,8 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cache import CacheInfo, LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .graphs import component_subgraphs
+
+_MEMO_HOSTS = 4
+_MEMO_TERMS = 1024
+# host -> LRUCache(_MEMO_TERMS) of connected component -> hom count
+_memo = LRUCache(_MEMO_HOSTS)
 
 
 @dataclass(frozen=True)
@@ -379,16 +397,39 @@ def hom_count(pattern, host, limit=None):
     """Homomorphism count by elimination along each component's exact
     treewidth order.
 
-    Disconnected patterns factor into a product over their components.
+    Disconnected patterns factor into a product over their components;
+    each component's count is memoised per host (see the module notes).
     """
     if pattern.n == 0:
         return 1
     if not host.is_loop_free():
         raise HostError("host must be loop-free")
+    counts = _memo.get(host)
+    if counts is None:
+        counts = LRUCache(_MEMO_TERMS)
+        _memo.put(host, counts)
     total = 1
     for _, comp in component_subgraphs(pattern):
         width, order = _checked_order(comp, limit)
-        total *= _eliminate(comp, host, order, width)
+        count = counts.get(comp)
+        if count is None:
+            count = _eliminate(comp, host, order, width)
+            counts.put(comp, count)
+        total *= count
         if total == 0:
             return 0
     return total
+
+
+def hom_cache_info():
+    """Hits, misses, bound and size of the hom-count memo, over the hosts
+    it holds (a host's counts leave with it)."""
+    tables = _memo.values()
+    return CacheInfo(sum(t.hits for t in tables),
+                     sum(t.misses for t in tables),
+                     _MEMO_HOSTS * _MEMO_TERMS, sum(map(len, tables)))
+
+
+def hom_cache_clear():
+    """Forget every memoised hom count."""
+    _memo.clear()

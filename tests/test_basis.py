@@ -14,10 +14,12 @@ from homlattice.basis import (
     is_congruent,
     serialize_expansion,
 )
+from homlattice.cache import LRUCache
 from homlattice.errors import HomlatticeError, HostError
 from homlattice.graphs import Graph, clique, cycle, path
 from homlattice.oracle import brute_hom, brute_restricted
-from homlattice.restrictions import EMB, HOM, LI, locally_injective
+from homlattice.restrictions import (EMB, HOM, LI, locally_injective,
+                                     parse_restriction)
 from helpers import random_graph
 
 
@@ -79,7 +81,6 @@ def test_expand_searches_the_pattern_once(monkeypatch):
     search = graphs._canonical_search
     monkeypatch.setattr(graphs, "_canonical_search",
                         lambda g: searched.append(g) or search(g))
-    monkeypatch.setattr(basis, "_expansion_cache", {})
     # Every proper quotient of a clique carries a selfloop, so the pattern
     # is the only graph an emb expansion needs to search.
     assert serialize_expansion(expand(EMB, clique(5))) == (
@@ -87,7 +88,47 @@ def test_expand_searches_the_pattern_once(monkeypatch):
                               for u, v in clique(5).edge_list()))
     assert len(searched) == 1
     expand(EMB, clique(5))
-    assert len(searched) == 2  # a cache hit still needs the key
+    assert len(searched) == 1  # the labelled pattern is a key of its own
+    # K5 equals each of its relabellings, so relabel K5 minus an edge: the
+    # copy finds the class key after one search, then its own key.
+    almost = Graph(5, [e for e in clique(5).edge_list() if e != (0, 1)])
+    first = expand(EMB, almost)
+    before = len(searched)
+    relabeled = almost.relabeled([4, 3, 2, 1, 0])
+    assert relabeled != almost
+    assert expand(EMB, relabeled).terms == first.terms
+    assert len(searched) == before + 1
+    expand(EMB, relabeled)
+    assert len(searched) == before + 1
+
+
+def test_expansion_cache_is_bounded(monkeypatch):
+    info = basis.expansion_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert info.maxsize == basis._EXPANSION_CACHE_SIZE
+    expand(LI, path(4))
+    expand(LI, path(4))
+    info = basis.expansion_cache_info()
+    assert (info.hits, info.currsize) == (1, 2)  # class and labelled keys
+    patterns = [path(k) for k in range(1, 6)] + [cycle(4), cycle(5)]
+    expected = [expand(LI, pattern).terms for pattern in patterns]
+    monkeypatch.setattr(basis, "_expansion_cache", LRUCache(3))
+    for _ in range(2):
+        for pattern, terms in zip(patterns, expected):
+            assert expand(LI, pattern).terms == terms
+            assert len(basis._expansion_cache) <= 3
+    basis.expansion_cache_clear()
+    assert basis.expansion_cache_info() == (0, 0, 3, 0)
+
+
+def test_li_and_li_one_share_a_cache_entry():
+    li = expand(LI, cycle(5))
+    size = basis.expansion_cache_info().currsize
+    one = expand(parse_restriction("li:1"), cycle(5))
+    assert one.terms == li.terms
+    assert one.restriction.label() == "li:1"
+    info = basis.expansion_cache_info()
+    assert (info.hits, info.currsize) == (1, size)
 
 
 def test_evaluate_rejects_loopy_hosts():

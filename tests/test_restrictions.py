@@ -15,6 +15,7 @@ from homlattice.restrictions import (
     EMB,
     HOM,
     LI,
+    _radius_witness_edges,
     apply_restriction,
     contraction_is_legal,
     custom_restriction,
@@ -26,7 +27,7 @@ from homlattice.restrictions import (
     windmill_apex_deleted,
     windmill_contraction,
 )
-from helpers import random_graph
+from helpers import graphs_up_to, random_graph
 
 
 def test_parse_restriction():
@@ -64,11 +65,16 @@ def test_li_radius_two_on_path_four_is_complete():
 
 
 def test_li_equals_radius_one():
-    rng = random.Random(2)
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(1, 8), 0.4)
-        assert (apply_restriction(LI, g).edges
-                == apply_restriction(locally_injective(1), g).edges)
+    one = locally_injective(1)
+    assert parse_restriction("li:1") == one
+    assert one.label() == "li:1"
+    assert one.token() == LI.token()
+    # The common-neighbour builder both use against the witness builder
+    # at radius 1, on all 209 graphs with at most 6 vertices.
+    for g in (Graph(0),) + graphs_up_to(6):
+        witnessed = Graph(g.n, _radius_witness_edges(g, 1))
+        assert apply_restriction(LI, g) == witnessed
+        assert apply_restriction(one, g) == witnessed
 
 
 def test_li_radius_monotone():

@@ -3,9 +3,12 @@ import random
 import pytest
 
 from homlattice import treedp
-from homlattice.errors import HomlatticeError, PatternSizeError
+from homlattice.basis import count_restricted
+from homlattice.cache import LRUCache
+from homlattice.errors import HomlatticeError, HostError, PatternSizeError
 from homlattice.graphs import Graph, biclique, clique, cycle, path, star
-from homlattice.oracle import brute_hom
+from homlattice.oracle import brute_hom, brute_restricted
+from homlattice.restrictions import EMB, LI, locally_injective
 from homlattice.treedp import (
     TreeDecomposition,
     count_homomorphisms,
@@ -93,14 +96,20 @@ def test_vector_path_matches_general_join(monkeypatch):
     host = random_host(rng, 40, 90)
     join = treedp._join
     joined = []
-    monkeypatch.setattr(treedp, "_join",
-                        lambda *args: joined.append(args) or join(*args))
+
+    def recorded(*args):
+        joined.append(args[0])
+        return join(*args)
+
+    monkeypatch.setattr(treedp, "_join", recorded)
     trees = all_trees(7)
     vector = [hom_count(tree, host) for tree in trees]
     assert not joined  # every bucket of a tree takes the vector path
-    monkeypatch.setattr(treedp, "_join", join)
-    monkeypatch.setattr(treedp, "_vector_message", join)
+    # Recount with every bucket forced through _join, not from the memo.
+    treedp.hom_cache_clear()
+    monkeypatch.setattr(treedp, "_vector_message", recorded)
     assert [hom_count(tree, host) for tree in trees] == vector
+    assert set(joined) == set(trees)
     assert vector == [nice_dp_count(tree, host, treewidth_exact(tree)[1])
                       for tree in trees]
 
@@ -146,3 +155,71 @@ def test_host_monotone_under_edge_addition():
     host = random_host(rng, 6, 6)
     more = Graph(6, list(host.edges) + [(0, 5)])
     assert hom_count(pattern, more) >= hom_count(pattern, host)
+
+
+def test_memo_counts_match_brute_force_cold_and_warm():
+    rng = random.Random(41)
+    hosts = [random_graph(rng, rng.randrange(1, 7), 0.5) for _ in range(3)]
+    patterns = [random_graph(rng, rng.randrange(1, 6), 0.4)
+                for _ in range(25)]
+    for _ in range(2):  # the first pass fills the memo, the second hits it
+        for host in hosts:
+            for pattern in patterns:
+                assert hom_count(pattern, host) == brute_hom(pattern, host)
+                for restriction in (EMB, LI, locally_injective(2)):
+                    assert (count_restricted(restriction, pattern, host)
+                            == brute_restricted(restriction, pattern, host))
+    assert treedp.hom_cache_info().hits > 0
+
+
+def test_memo_matches_an_equal_host():
+    host = random_host(random.Random(5), 8, 12)
+    count = hom_count(cycle(4), host)
+    copy = Graph(host.n, list(host.edges))
+    assert copy is not host and copy == host
+    hits = treedp.hom_cache_info().hits
+    assert hom_count(cycle(4), copy) == count
+    assert treedp.hom_cache_info().hits == hits + 1
+
+
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(treedp, "_MEMO_TERMS", 3)
+    rng = random.Random(43)
+    hosts = [random_host(rng, 7, 10) for _ in range(treedp._MEMO_HOSTS + 2)]
+    patterns = [path(2), path(3), star(3), cycle(4), clique(3), cycle(5)]
+    for _ in range(2):  # the second pass finds the first hosts evicted
+        for host in hosts:
+            for pattern in patterns:
+                assert hom_count(pattern, host) == brute_hom(pattern, host)
+                info = treedp.hom_cache_info()
+                assert info.currsize <= info.maxsize == treedp._MEMO_HOSTS * 3
+                assert len(treedp._memo) <= treedp._MEMO_HOSTS
+                assert all(len(t) <= 3 for t in treedp._memo.values())
+    treedp.hom_cache_clear()
+    assert treedp.hom_cache_info().currsize == 0
+
+
+def test_memo_hits_still_check_limits():
+    host = path(3)
+    assert hom_count(path(13), host, limit=13) == brute_hom(path(13), host)
+    with pytest.raises(PatternSizeError):
+        hom_count(path(13), host)
+    loopy = Graph(3, [(0, 0), (0, 1), (1, 2)], selfloops_allowed=True)
+    table = LRUCache(treedp._MEMO_TERMS)
+    table.put(path(2), 1)
+    treedp._memo.put(loopy, table)  # a planted entry must not answer
+    with pytest.raises(HostError):
+        hom_count(path(2), loopy)
+
+
+def test_components_are_counted_once_per_host(monkeypatch):
+    eliminate = treedp._eliminate
+    eliminated = []
+    monkeypatch.setattr(
+        treedp, "_eliminate",
+        lambda comp, *rest: eliminated.append(comp) or eliminate(comp, *rest))
+    host = random_host(random.Random(47), 9, 15)
+    k2_k1 = Graph(3, [(0, 1)])
+    assert hom_count(k2_k1, host) == hom_count(path(2), host) * host.n
+    assert hom_count(Graph(4, [(0, 1), (2, 3)]), host) == (2 * host.m) ** 2
+    assert eliminated == [path(2), Graph(1)]
