@@ -24,7 +24,7 @@ from .errors import (
     TreeError,
     resolve_limit,
 )
-from .flats import FlatLattice, Flat, compute_mobius, enumerate_flats
+from .flats import FlatLattice, Flat, enumerate_flats
 from .graphs import (
     Graph,
     VertexPartition,
@@ -74,12 +74,6 @@ from .restrictions import (
     spider_contraction,
     windmill_contraction,
 )
-from .treedp import (
-    TreeDecomposition,
-    count_homomorphisms,
-    hom_count,
-    treewidth_exact,
-    validate_decomposition,
-)
+from .treedp import hom_count, treewidth_exact
 
 __version__ = "0.1.0"

@@ -109,11 +109,12 @@ def _parse_coefficient(text):
 
 def parse_manifest(text, base_dir):
     """Lines ``<coeff> <restriction> <graph-path>``; paths are resolved
-    relative to the manifest's directory."""
+    relative to the manifest's directory. Blank lines and lines whose
+    first field starts with ``#`` are skipped."""
     entries = []
     for raw in text.splitlines():
         parts = raw.split()
-        if not parts:
+        if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 3:
             raise ParseError(f"manifest line needs 3 fields: {raw!r}")

@@ -170,11 +170,6 @@ def enumerate_flats(constraint, limit=None):
     return FlatLattice(constraint, tuple(flats), tuple(r[2] for r in rows))
 
 
-def compute_mobius(lattice):
-    """The lattice as it is: ``enumerate_flats`` already fills in mu."""
-    return lattice
-
-
 def sign_rule_holds(lattice):
     """Whether every mu value is nonzero with sign (-1)^rank."""
     for flat, mu in zip(lattice.flats, lattice.mobius):

@@ -247,12 +247,15 @@ def connected_components(graph):
 
 
 def component_subgraphs(graph):
-    """Induced subgraph per component, each with its original vertex list."""
+    """Induced subgraph per component; a connected graph is returned as
+    itself, not rebuilt."""
     count, labels = connected_components(graph)
+    if count == 1:
+        return [graph]
     verts = [[] for _ in range(count)]
     for v, lab in enumerate(labels):
         verts[lab].append(v)
-    return [(tuple(vs), graph.induced(vs)) for vs in verts]
+    return [graph.induced(vs) for vs in verts]
 
 
 def _invariant_classes(graph):

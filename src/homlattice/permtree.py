@@ -126,10 +126,17 @@ def build_gadget(matrix):
     return GadgetTree(graph, tuple(roles), n)
 
 
-def _rooted_shapes(tree, root):
-    """AHU shape ids for every (vertex, parent) orientation from a root."""
+def _rooted_aut(tree, root, banned=None, interned=None):
+    """Automorphism count and AHU shape of the tree rooted at root, leaving
+    out the side of banned (a neighbour of root) when it is given.
+
+    Shapes are ids interned in ``interned``; calls that share the table
+    get comparable shapes.
+    """
+    if interned is None:
+        interned = {}
     order = []
-    parent = {root: None}
+    parent = {root: banned}
     stack = [root]
     while stack:
         v = stack.pop()
@@ -138,31 +145,22 @@ def _rooted_shapes(tree, root):
             if w != parent[v]:
                 parent[w] = v
                 stack.append(w)
-    interned = {}
+    aut = {}
     shape = {}
     for v in reversed(order):
-        kids = tuple(sorted(shape[w] for w in tree.neighbors(v)
-                            if w != parent[v]))
-        shape[v] = interned.setdefault(kids, len(interned))
-    return shape, parent, order
-
-
-def _rooted_aut(tree, root):
-    """Automorphism count of the tree rooted at root."""
-    shape, parent, order = _rooted_shapes(tree, root)
-    aut = {}
-    for v in reversed(order):
-        kids = [w for w in tree.neighbors(v) if w != parent[v]]
         total = 1
         by_shape = {}
-        for w in kids:
-            total *= aut[w]
-            by_shape[shape[w]] = by_shape.get(shape[w], 0) + 1
+        for w in tree.neighbors(v):
+            if w != parent[v]:
+                total *= aut[w]
+                by_shape[shape[w]] = by_shape.get(shape[w], 0) + 1
         for mult in by_shape.values():
             for x in range(2, mult + 1):
                 total *= x
         aut[v] = total
-    return aut[root]
+        shape[v] = interned.setdefault(tuple(sorted(by_shape.items())),
+                                       len(interned))
+    return aut[root], shape[root]
 
 
 def tree_center(tree):
@@ -200,38 +198,12 @@ def tree_automorphism_count(tree):
         return 1
     center = tree_center(tree)
     if len(center) == 1:
-        return _rooted_aut(tree, center[0])
+        return _rooted_aut(tree, center[0])[0]
     c1, c2 = center
-    half1 = _half_aut(tree, c1, c2)
-    half2 = _half_aut(tree, c2, c1)
-    swap = 2 if half1[1] == half2[1] else 1
-    return half1[0] * half2[0] * swap
-
-
-def _half_aut(tree, root, banned):
-    """Rooted automorphism count and shape of the side of root away from
-    banned."""
-    _, parent, order = _rooted_shapes(tree, root)
-    aut = {}
-    shp = {}
-    for v in reversed(order):
-        if v == banned:
-            continue
-        kids = [w for w in tree.neighbors(v)
-                if w != parent[v] and not (v == root and w == banned)]
-        total = 1
-        by_shape = {}
-        interned_kids = []
-        for w in kids:
-            total *= aut[w]
-            interned_kids.append(shp[w])
-            by_shape[shp[w]] = by_shape.get(shp[w], 0) + 1
-        for mult in by_shape.values():
-            for x in range(2, mult + 1):
-                total *= x
-        aut[v] = total
-        shp[v] = tuple(sorted(interned_kids))
-    return aut[root], shp[root]
+    interned = {}
+    aut1, shape1 = _rooted_aut(tree, c1, c2, interned)
+    aut2, shape2 = _rooted_aut(tree, c2, c1, interned)
+    return aut1 * aut2 * (2 if shape1 == shape2 else 1)
 
 
 def count_tree_embeddings(pattern, host):

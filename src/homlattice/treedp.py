@@ -2,15 +2,17 @@
 
 Treewidth is computed exactly by dynamic programming over subsets of the
 vertex set (elimination-order formulation), so patterns must stay within
-the global size limit. The optimal order is cached per pattern graph.
-Homomorphism counts eliminate the pattern's vertices along that order
-(Dechter 1999): each vertex's bucket of factors, together with its
-pattern edges to vertices not yet eliminated, is summed over the host's
-vertices into one factor on the remaining neighbours. No scope exceeds
-the order's width, so a term costs |V(host)|^(width+1) at most. Buckets
-of width one pass length-|V(host)| vectors along host adjacency. Counts
-are arbitrary-precision integers, so hosts can be large as long as the
-width stays small.
+the global size limit. ``treewidth_exact`` returns the width together
+with an optimal elimination order as its witness; no tree decomposition
+is built. The order is cached per pattern graph. Homomorphism counts
+eliminate the pattern's vertices along that order (Dechter 1999): each
+vertex's bucket of factors, together with its pattern edges to vertices
+not yet eliminated, is summed over the host's vertices into one factor
+on the remaining neighbours. No scope exceeds the order's width, so a
+term costs |V(host)|^(width+1) at most. Buckets of width one pass
+length-|V(host)| vectors along host adjacency. Counts are
+arbitrary-precision integers, so hosts can be large as long as the width
+stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
@@ -21,13 +23,11 @@ equality. It holds the ``_MEMO_HOSTS`` most recently used hosts and at
 most ``_MEMO_TERMS`` counts per host, each level least recently used
 first out, so a stream of large hosts cannot pin memory. The host and
 pattern checks run on every call, hit or miss. ``hom_cache_info`` and
-``hom_cache_clear`` report on and empty the memo;
-``count_homomorphisms`` never uses it.
+``hom_cache_clear`` report on and empty the memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cache import CacheInfo, LRUCache
@@ -38,75 +38,6 @@ _MEMO_HOSTS = 4
 _MEMO_TERMS = 1024
 # host -> LRUCache(_MEMO_TERMS) of connected component -> hom count
 _memo = LRUCache(_MEMO_HOSTS)
-
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Bags indexed 0..k-1 connected by tree edges; root marks the node
-    that ``count_homomorphisms`` hangs the tree from."""
-
-    bags: tuple
-    edges: tuple
-    root: int = 0
-
-    @property
-    def width(self):
-        if not self.bags:
-            return -1
-        return max(len(b) for b in self.bags) - 1
-
-    def __len__(self):
-        return len(self.bags)
-
-
-def validate_decomposition(td, graph):
-    """Check the three decomposition axioms against the graph."""
-    k = len(td.bags)
-    if k == 0:
-        raise HomlatticeError("decomposition has no nodes")
-    if len(td.edges) != k - 1:
-        raise HomlatticeError("decomposition is not a tree (wrong edge count)")
-    adj = [[] for _ in range(k)]
-    for a, b in td.edges:
-        if not (0 <= a < k and 0 <= b < k):
-            raise HomlatticeError("decomposition edge out of range")
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * k
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    if not all(seen):
-        raise HomlatticeError("decomposition is not connected")
-    covered = set()
-    for bag in td.bags:
-        for v in bag:
-            if not (0 <= v < graph.n):
-                raise HomlatticeError(f"bag vertex {v} out of range")
-        covered |= set(bag)
-    if covered != set(range(graph.n)):
-        raise HomlatticeError("bags do not cover the vertex set")
-    for u, v in graph.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            raise HomlatticeError(f"edge ({u}, {v}) not inside any bag")
-    for v in range(graph.n):
-        nodes = [i for i, bag in enumerate(td.bags) if v in bag]
-        reach = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in node_set and y not in reach:
-                    reach.add(y)
-                    stack.append(y)
-        if reach != node_set:
-            raise HomlatticeError(f"bags containing {v} are not connected")
 
 
 def _boundary_size(adj_masks, elim_mask, v):
@@ -172,76 +103,16 @@ def _exact_order(graph):
     return cost[full], tuple(order)
 
 
-def _checked_order(graph, limit):
+def treewidth_exact(graph, limit=None):
+    """Exact treewidth of a loop-free graph and its witness, an optimal
+    elimination order: ``(width, order)``. Eliminating the vertices in
+    ``order``, with fill-in, leaves each at most ``width`` neighbours
+    later in the order. The loop-free and size checks run on every call;
+    the order itself is cached per graph."""
     if not graph.is_loop_free():
         raise HomlatticeError("treewidth is defined here for loop-free graphs")
     ensure_pattern_size(graph.n, limit)
     return _exact_order(graph)
-
-
-def treewidth_exact(graph, limit=None):
-    """Exact treewidth and a witnessing decomposition.
-
-    Bag i holds the i-th vertex of the optimal order and its neighbours
-    among later vertices after fill-in; its parent is the bag of the
-    earliest of those neighbours, or bag i + 1 when there is none. The
-    tree is rooted at the last bag.
-    """
-    width, order = _checked_order(graph, limit)
-    if not order:
-        return -1, TreeDecomposition((frozenset(),), ())
-    work, _ = graph.adjacency_masks()
-    position = {v: i for i, v in enumerate(order)}
-    bags = []
-    edges = []
-    for i, v in enumerate(order):
-        neigh = work[v]
-        later = []
-        rest = neigh
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            later.append(u)
-            work[u] |= neigh & ~low
-            work[u] &= ~(1 << v)
-        bags.append(frozenset([v, *later]))
-        if i + 1 < len(order):
-            edges.append((i, min((position[u] for u in later),
-                                 default=i + 1)))
-    td = TreeDecomposition(tuple(bags), tuple(edges), root=len(order) - 1)
-    validate_decomposition(td, graph)
-    if td.width != width:
-        raise AssertionError("decomposition width differs from the order's")
-    return width, td
-
-
-def _order_of(td):
-    """Vertices in decreasing depth of the topmost bag holding each one.
-
-    Eliminating in this order keeps every scope inside one bag, so the
-    elimination width is at most the decomposition's width.
-    """
-    k = len(td.bags)
-    adj = [[] for _ in range(k)]
-    for a, b in td.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    root = td.root if 0 <= td.root < k else 0
-    depth = {root: 0}
-    top = {}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for v in td.bags[node]:
-                top.setdefault(v, depth[node])
-            for child in adj[node]:
-                if child not in depth:
-                    depth[child] = depth[node] + 1
-                    nxt.append(child)
-        frontier = nxt
-    return sorted(top, key=lambda v: (-top[v], v))
 
 
 def _vector_message(pattern, adj, v, scope, bucket):
@@ -380,19 +251,6 @@ def _eliminate(pattern, host, order, width):
     return total
 
 
-def count_homomorphisms(pattern, host, td):
-    """Number of homomorphisms from pattern into host, given a valid
-    decomposition of the pattern. Eliminates along an order taken from
-    the decomposition, rooted at ``td.root``; counts are exact Python
-    integers."""
-    if not pattern.is_loop_free():
-        raise HomlatticeError("pattern must be loop-free")
-    if not host.is_loop_free():
-        raise HostError("host must be loop-free")
-    validate_decomposition(td, pattern)
-    return _eliminate(pattern, host, _order_of(td), td.width)
-
-
 def hom_count(pattern, host, limit=None):
     """Homomorphism count by elimination along each component's exact
     treewidth order.
@@ -409,8 +267,8 @@ def hom_count(pattern, host, limit=None):
         counts = LRUCache(_MEMO_TERMS)
         _memo.put(host, counts)
     total = 1
-    for _, comp in component_subgraphs(pattern):
-        width, order = _checked_order(comp, limit)
+    for comp in component_subgraphs(pattern):
+        width, order = treewidth_exact(comp, limit)
         count = counts.get(comp)
         if count is None:
             count = _eliminate(comp, host, order, width)

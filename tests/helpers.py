@@ -1,5 +1,6 @@
-"""Shared generators for the test suite."""
+"""Shared generators and second oracles for the test suite."""
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -8,7 +9,6 @@ from homlattice.flats import blocks_connected, iter_set_partitions, \
     partition_leq
 from homlattice.graphs import Graph, VertexPartition, canonical_form, \
     canonical_representative
-from homlattice.treedp import TreeDecomposition, validate_decomposition
 
 
 def random_graph(rng, n, p=0.5):
@@ -122,6 +122,108 @@ def flats_by_filter(constraint):
                     if partition_leq(lo, hi))
         mobius.append(1 if rank == 0 else -below)
     return [(part, rank, mu) for (rank, part), mu in zip(flats, mobius)]
+
+
+@dataclass(frozen=True)
+class TreeDecomposition:
+    """Bags indexed 0..k-1 connected by tree edges, hung from root."""
+
+    bags: tuple
+    edges: tuple
+    root: int = 0
+
+    @property
+    def width(self):
+        if not self.bags:
+            return -1
+        return max(len(b) for b in self.bags) - 1
+
+    def __len__(self):
+        return len(self.bags)
+
+
+def validate_decomposition(td, graph):
+    """Check the three decomposition axioms against the graph."""
+    k = len(td.bags)
+    if k == 0:
+        raise HomlatticeError("decomposition has no nodes")
+    if len(td.edges) != k - 1:
+        raise HomlatticeError("decomposition is not a tree (wrong edge count)")
+    adj = [[] for _ in range(k)]
+    for a, b in td.edges:
+        if not (0 <= a < k and 0 <= b < k):
+            raise HomlatticeError("decomposition edge out of range")
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * k
+    stack = [0]
+    seen[0] = True
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    if not all(seen):
+        raise HomlatticeError("decomposition is not connected")
+    covered = set()
+    for bag in td.bags:
+        for v in bag:
+            if not (0 <= v < graph.n):
+                raise HomlatticeError(f"bag vertex {v} out of range")
+        covered |= set(bag)
+    if covered != set(range(graph.n)):
+        raise HomlatticeError("bags do not cover the vertex set")
+    for u, v in graph.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            raise HomlatticeError(f"edge ({u}, {v}) not inside any bag")
+    for v in range(graph.n):
+        nodes = [i for i, bag in enumerate(td.bags) if v in bag]
+        reach = {nodes[0]}
+        stack = [nodes[0]]
+        node_set = set(nodes)
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in node_set and y not in reach:
+                    reach.add(y)
+                    stack.append(y)
+        if reach != node_set:
+            raise HomlatticeError(f"bags containing {v} are not connected")
+
+
+def decomposition_from_order(graph, order):
+    """The tree decomposition an elimination order induces, validated.
+
+    Bag i holds the i-th vertex of the order and its neighbours among
+    later vertices after fill-in; its parent is the bag of the earliest of
+    those neighbours, or bag i + 1 when there is none. The tree is rooted
+    at the last bag. The empty graph gets one empty bag.
+    """
+    if not order:
+        return TreeDecomposition((frozenset(),), ())
+    work, _ = graph.adjacency_masks()
+    position = {v: i for i, v in enumerate(order)}
+    bags = []
+    edges = []
+    for i, v in enumerate(order):
+        neigh = work[v]
+        later = []
+        rest = neigh
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            later.append(u)
+            work[u] |= neigh & ~low
+            work[u] &= ~(1 << v)
+        bags.append(frozenset([v, *later]))
+        if i + 1 < len(order):
+            edges.append((i, min((position[u] for u in later),
+                                 default=i + 1)))
+    td = TreeDecomposition(tuple(bags), tuple(edges), root=len(order) - 1)
+    validate_decomposition(td, graph)
+    return td
 
 
 def make_nice(td):

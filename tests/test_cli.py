@@ -119,6 +119,13 @@ def test_lincomb_command(capsys, write, graph_file):
     captured = capsys.readouterr()
     assert captured.out == "84\n"
     assert captured.err == "congruent: yes\n"
+    commented = write("commented.lc",
+                      "# weights\n1 hom p3.g\n\n  #li next\n1 li k3.g\n"
+                      "1 emb c3.g\n")
+    assert main(["lincomb", "--manifest", commented, "--host", k4]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "84\n"
+    assert captured.err == "congruent: yes\n"
     empty = write("empty.lc", "")
     assert main(["lincomb", "--manifest", empty, "--host", k4]) == 0
     captured = capsys.readouterr()

@@ -18,7 +18,7 @@ from homlattice.permtree import (
     verify_permanent_identity,
 )
 from homlattice.restrictions import EMB
-from helpers import random_tree
+from helpers import all_trees, random_tree
 
 EXAMPLE = [
     [1, 0, 1, 0, 0],
@@ -51,12 +51,17 @@ def test_automorphism_examples():
     assert tree_automorphism_count(star(3)) == 6
     assert tree_automorphism_count(path(2)) == 2
     assert tree_automorphism_count(Graph(1)) == 1
+    # Deep trees with a centre vertex and with a centre edge.
+    assert tree_automorphism_count(path(3001)) == 2
+    assert tree_automorphism_count(path(3000)) == 2
 
 
 def test_automorphisms_match_generic_counter():
     rng = random.Random(41)
     for _ in range(60):
         tree = random_tree(rng, rng.randrange(1, 10))
+        assert tree_automorphism_count(tree) == count_automorphisms(tree)
+    for tree in all_trees(9):
         assert tree_automorphism_count(tree) == count_automorphisms(tree)
 
 

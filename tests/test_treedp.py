@@ -9,15 +9,10 @@ from homlattice.errors import HomlatticeError, HostError, PatternSizeError
 from homlattice.graphs import Graph, biclique, clique, cycle, path, star
 from homlattice.oracle import brute_hom, brute_restricted
 from homlattice.restrictions import EMB, LI, locally_injective
-from homlattice.treedp import (
-    TreeDecomposition,
-    count_homomorphisms,
-    hom_count,
-    treewidth_exact,
-    validate_decomposition,
-)
-from helpers import (all_trees, graphs_up_to, make_nice, nice_dp_count,
-                     random_graph, random_host)
+from homlattice.treedp import hom_count, treewidth_exact
+from helpers import (TreeDecomposition, all_trees, decomposition_from_order,
+                     graphs_up_to, make_nice, nice_dp_count, random_graph,
+                     random_host, validate_decomposition)
 
 
 def test_exact_treewidth_values():
@@ -30,9 +25,10 @@ def test_exact_treewidth_values():
         (star(3), 1),
         (biclique(3), 3),
     ]:
-        got, td = treewidth_exact(graph)
+        got, order = treewidth_exact(graph)
         assert got == width
-        assert td.width == width
+        assert sorted(order) == list(range(graph.n))
+        assert decomposition_from_order(graph, order).width == width
 
 
 def test_treewidth_respects_pattern_limit():
@@ -49,7 +45,7 @@ def test_treewidth_respects_pattern_limit():
 
 def test_decomposition_validates():
     graph = cycle(4)
-    _, td = treewidth_exact(graph)
+    td = decomposition_from_order(graph, treewidth_exact(graph)[1])
     validate_decomposition(td, graph)
     broken = TreeDecomposition(
         tuple(frozenset([0]) for _ in td.bags), td.edges, td.root)
@@ -59,20 +55,9 @@ def test_decomposition_validates():
 
 def test_nice_form_still_validates():
     graph = cycle(5)
-    _, td = treewidth_exact(graph)
-    nice = make_nice(td)
+    nice = make_nice(decomposition_from_order(graph, treewidth_exact(graph)[1]))
     validate_decomposition(nice, graph)
     assert not nice.bags[nice.root]
-
-
-def _wider_decompositions(pattern):
-    """Valid decompositions wider than the optimum: one bag holding every
-    vertex, with a pendant bag per vertex and the root at a pendant."""
-    n = pattern.n
-    bags = (frozenset(range(n)),) + tuple(frozenset([v]) for v in range(n))
-    edges = tuple((0, v + 1) for v in range(n))
-    return [TreeDecomposition(bags[:1], ()),
-            TreeDecomposition(bags, edges, root=1)]
 
 
 def test_engine_matches_both_oracles():
@@ -80,15 +65,13 @@ def test_engine_matches_both_oracles():
     hosts = [Graph(0), Graph(4), Graph(6, [(0, 1), (1, 2), (0, 2)]),
              random_host(rng, 6, 9), random_graph(rng, 5, 0.7)]
     for pattern in (Graph(0),) + graphs_up_to(5):
-        _, td = treewidth_exact(pattern)
-        rerooted = TreeDecomposition(td.bags, td.edges, root=0)
-        wider = _wider_decompositions(pattern) if pattern.n else []
+        width, order = treewidth_exact(pattern)
+        td = decomposition_from_order(pattern, order)
+        assert td.width == width
         for host in hosts:
             expected = brute_hom(pattern, host)
             assert hom_count(pattern, host) == expected
             assert nice_dp_count(pattern, host, td) == expected
-            for given in [td, rerooted] + wider:
-                assert count_homomorphisms(pattern, host, given) == expected
 
 
 def test_vector_path_matches_general_join(monkeypatch):
@@ -110,8 +93,8 @@ def test_vector_path_matches_general_join(monkeypatch):
     monkeypatch.setattr(treedp, "_vector_message", recorded)
     assert [hom_count(tree, host) for tree in trees] == vector
     assert set(joined) == set(trees)
-    assert vector == [nice_dp_count(tree, host, treewidth_exact(tree)[1])
-                      for tree in trees]
+    assert vector == [nice_dp_count(tree, host, decomposition_from_order(
+        tree, treewidth_exact(tree)[1])) for tree in trees]
 
 
 def test_scope_beyond_width_is_caught():
@@ -128,18 +111,12 @@ def test_counts_match_brute_force():
         assert hom_count(pattern, host) == brute_hom(pattern, host)
 
 
-def test_count_with_explicit_decomposition():
-    pattern = cycle(4)
-    host = clique(3)
-    _, td = treewidth_exact(pattern)
-    assert count_homomorphisms(pattern, host, td) == 18
-
-
 def test_known_hom_counts():
     assert hom_count(path(3), clique(3)) == 12
     assert hom_count(clique(3), clique(4)) == 24
     assert hom_count(Graph(3), clique(4)) == 64
     assert hom_count(clique(3), cycle(5)) == 0
+    assert hom_count(cycle(4), clique(3)) == 18
 
 
 def test_disjoint_union_multiplies():
@@ -223,3 +200,6 @@ def test_components_are_counted_once_per_host(monkeypatch):
     assert hom_count(k2_k1, host) == hom_count(path(2), host) * host.n
     assert hom_count(Graph(4, [(0, 1), (2, 3)]), host) == (2 * host.m) ** 2
     assert eliminated == [path(2), Graph(1)]
+    connected = cycle(5)  # counted as itself, not rebuilt
+    assert hom_count(connected, host) == brute_hom(connected, host)
+    assert eliminated[2] is connected
