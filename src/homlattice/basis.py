@@ -99,8 +99,8 @@ def expand(restriction, pattern, limit=None):
     """Signed minor expansion of the restricted count for this pattern.
 
     Results for built-in restrictions are cached per labelled pattern and
-    per isomorphism class; custom restrictions are never cached since nothing ties their output
-    to the pattern's isomorphism class.
+    per isomorphism class; custom restrictions are never cached since
+    nothing ties their output to the pattern's isomorphism class.
     """
     if not pattern.is_loop_free():
         raise HomlatticeError("pattern must be loop-free")
@@ -125,8 +125,7 @@ def expand(restriction, pattern, limit=None):
         pattern, zip((flat.partition for flat in lattice.flats),
                      lattice.mobius), limit, bottom)
     terms = []
-    for key, (rep, mus) in groups.items():
-        coeff = sum(mus)
+    for key, (rep, coeff) in groups.items():
         if coeff == 0:
             raise AssertionError("condensed coefficient vanished")
         removed = pattern.n - rep.n
@@ -196,7 +195,7 @@ def hom_to_embedding_basis(pattern, limit=None):
         pattern, ((flat.partition, 1) for flat in lattice.flats), limit)
     classes = sorted(groups.items(), key=lambda kv: (-kv[1][0].n, kv[0]))
     return LinearCombination.build(
-        [(len(ones), EMB, rep) for _, (rep, ones) in classes])
+        [(count, EMB, rep) for _, (rep, count) in classes])
 
 
 def serialize_expansion(expansion):

@@ -153,12 +153,12 @@ def _cmd_minors(args):
     pattern = _load_graph(args.pattern)
     minors = restriction_minors(restriction, pattern, limit=args.limit)
     widest = 0
-    for entry in minors.entries:
-        width, _ = treewidth_exact(entry.graph, limit=args.limit)
+    for term in minors.terms:
+        width, _ = treewidth_exact(term.graph, limit=args.limit)
         widest = max(widest, width)
         edges = ";".join(f"{u + 1}-{v + 1}"
-                         for u, v in entry.graph.edge_list())
-        print(f"{entry.graph.n}\t{width}\t{edges}")
+                         for u, v in term.graph.edge_list())
+        print(f"{term.graph.n}\t{width}\t{edges}")
     print(f"max-treewidth: {widest}")
     return 0
 

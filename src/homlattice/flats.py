@@ -52,31 +52,6 @@ class FlatLattice:
         return len(self.flats)
 
 
-def iter_set_partitions(n):
-    """All partitions of 0..n-1 as restricted growth strings.
-
-    A growth string assigns vertex v a block label a[v] with a[0] = 0 and
-    a[v] <= 1 + max(a[:v]).
-    """
-    if n == 0:
-        yield ()
-        return
-    labels = [0] * n
-    maxes = [0] * n
-    while True:
-        yield tuple(labels)
-        v = n - 1
-        while v > 0 and labels[v] == maxes[v - 1] + 1:
-            v -= 1
-        if v == 0:
-            return
-        labels[v] += 1
-        maxes[v] = max(maxes[v - 1], labels[v])
-        for w in range(v + 1, n):
-            labels[w] = 0
-            maxes[w] = maxes[v]
-
-
 def blocks_connected(graph, partition):
     """Whether every block of the partition induces a connected subgraph."""
     return all(connected_components(graph.induced(block))[0] == 1

@@ -352,11 +352,11 @@ def _group_quotients(graph, items, limit, bottom=None):
     """Loop-free quotients of the graph grouped by isomorphism class.
 
     ``items`` yields (partition, value) pairs. Returns a dict from each
-    canonical key to (canonical representative, values of the partitions
-    whose quotient falls in the class), in first-seen order. Quotients
-    with a selfloop are dropped; each other one takes one canonical search,
-    except that a given ``bottom`` (key, representative) pair of the graph
-    itself serves the all-singletons partition.
+    canonical key to [canonical representative, sum of the values of the
+    partitions whose quotient falls in the class], in first-seen order.
+    Quotients with a selfloop are dropped; each other one takes one
+    canonical search, except that a given ``bottom`` (key, representative)
+    pair of the graph itself serves the all-singletons partition.
     """
     groups = {}
     for partition, value in items:
@@ -368,9 +368,11 @@ def _group_quotients(graph, items, limit, bottom=None):
                 continue
             rep = canonical_representative(q, limit)
             key = _labelled_key(rep)
-        if key not in groups:
-            groups[key] = (rep, [])
-        groups[key][1].append(value)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [rep, value]
+        else:
+            group[1] += value
     return groups
 
 

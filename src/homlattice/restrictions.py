@@ -9,21 +9,25 @@ every constraint edge get distinct images. Built-in kinds:
   li     pairs with a common neighbor, locally injective homomorphisms
   li:R   pairs with a witness vertex at distance 1..R from both endpoints
 
-``li`` and ``li:1`` are the same restriction: both build the
-common-neighbour constraint graph and share one cache token, so their
-expansions share a cache entry; only ``label`` tells them apart. Custom
-restrictions supply their own builder and are validated for vertex
+``li`` is ``li:1``: a common neighbour is a witness at distance 1, so
+both build the radius-1 witness graph and share one cache token, and
+their expansions share a cache entry; only ``label`` tells them apart.
+Custom restrictions supply their own builder and are validated for vertex
 preservation and loop-freeness.
+
+The contraction minors of a restriction are the terms of the pattern's
+signed expansion: every condensed coefficient is nonzero, so no class of
+loop-free quotients drops out of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HomlatticeError, ParseError, ensure_pattern_size
-from .flats import blocks_connected, enumerate_flats
-from .graphs import (Graph, VertexPartition, _group_quotients, bfs_distances,
-                     quotient, spider, spider_parts, windmill, windmill_parts)
+from .errors import HomlatticeError, ParseError
+from .flats import blocks_connected
+from .graphs import (Graph, VertexPartition, bfs_distances, quotient, spider,
+                     spider_parts, windmill, windmill_parts)
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,6 @@ def parse_restriction(spec):
     raise ParseError(f"bad restriction spec {spec!r}")
 
 
-def _common_neighbor_edges(pattern):
-    edges = set()
-    for v in range(pattern.n):
-        neigh = sorted(pattern.neighbors(v))
-        for i, u in enumerate(neigh):
-            for w in neigh[i + 1:]:
-                edges.add((u, w))
-    return edges
-
-
 def _radius_witness_edges(pattern, radius):
     dist = [bfs_distances(pattern, v) for v in range(pattern.n)]
     edges = set()
@@ -121,10 +115,8 @@ def apply_restriction(restriction, pattern):
         return Graph(pattern.n, [(u, v) for u in range(pattern.n)
                                  for v in range(u + 1, pattern.n)])
     if kind == "li":
-        if restriction.radius in (None, 1):
-            return Graph(pattern.n, _common_neighbor_edges(pattern))
         return Graph(pattern.n,
-                     _radius_witness_edges(pattern, restriction.radius))
+                     _radius_witness_edges(pattern, restriction.radius or 1))
     out = restriction.build(pattern)
     if not isinstance(out, Graph) or out.n != pattern.n:
         raise HomlatticeError(
@@ -134,41 +126,12 @@ def apply_restriction(restriction, pattern):
     return out
 
 
-@dataclass(frozen=True)
-class MinorEntry:
-    """One isomorphism class of loop-free quotients: canonical key, a
-    canonical representative, and every flat producing the class."""
-
-    key: tuple
-    graph: Graph
-    flats: tuple
-
-
-@dataclass(frozen=True)
-class MinorSet:
-    pattern: Graph
-    restriction: Restriction
-    entries: tuple
-
-    def __len__(self):
-        return len(self.entries)
-
-    def graphs(self):
-        return [e.graph for e in self.entries]
-
-
 def restriction_minors(restriction, pattern, limit=None):
     """Loop-free quotients of the pattern along constraint-graph flats,
-    grouped by isomorphism class."""
-    ensure_pattern_size(pattern.n, limit)
-    constraint = apply_restriction(restriction, pattern)
-    lattice = enumerate_flats(constraint, limit)
-    groups = _group_quotients(
-        pattern, ((flat.partition, flat) for flat in lattice.flats), limit)
-    entries = [MinorEntry(key, rep, tuple(fl))
-               for key, (rep, fl) in groups.items()]
-    entries.sort(key=lambda e: (-e.graph.n, e.key))
-    return MinorSet(pattern, restriction, tuple(entries))
+    one term per isomorphism class: the pattern's ``BasisExpansion``."""
+    from .basis import expand
+
+    return expand(restriction, pattern, limit)
 
 
 def max_minor_treewidth(minors, limit=None):
@@ -176,8 +139,8 @@ def max_minor_treewidth(minors, limit=None):
     from .treedp import treewidth_exact
 
     best = -1
-    for entry in minors.entries:
-        width, _ = treewidth_exact(entry.graph, limit)
+    for term in minors.terms:
+        width, _ = treewidth_exact(term.graph, limit)
         best = max(best, width)
     return best
 

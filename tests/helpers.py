@@ -5,8 +5,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from homlattice.errors import HomlatticeError, HostError
-from homlattice.flats import blocks_connected, iter_set_partitions, \
-    partition_leq
+from homlattice.flats import blocks_connected, partition_leq
 from homlattice.graphs import Graph, VertexPartition, canonical_form, \
     canonical_representative
 
@@ -102,6 +101,31 @@ def all_trees(max_n):
             out.append(Graph(n, [(relabel[u], relabel[v])
                                  for u, v in tree.edges()]))
     return tuple(out)
+
+
+def iter_set_partitions(n):
+    """All partitions of 0..n-1 as restricted growth strings.
+
+    A growth string assigns vertex v a block label a[v] with a[0] = 0 and
+    a[v] <= 1 + max(a[:v]).
+    """
+    if n == 0:
+        yield ()
+        return
+    labels = [0] * n
+    maxes = [0] * n
+    while True:
+        yield tuple(labels)
+        v = n - 1
+        while v > 0 and labels[v] == maxes[v - 1] + 1:
+            v -= 1
+        if v == 0:
+            return
+        labels[v] += 1
+        maxes[v] = max(maxes[v - 1], labels[v])
+        for w in range(v + 1, n):
+            labels[w] = 0
+            maxes[w] = maxes[v]
 
 
 def flats_by_filter(constraint):

@@ -3,12 +3,12 @@ import random
 from homlattice.flats import (
     blocks_connected,
     enumerate_flats,
-    iter_set_partitions,
     partition_leq,
     sign_rule_holds,
 )
 from homlattice.graphs import Graph, VertexPartition, clique, cycle, path
-from helpers import flats_by_filter, graphs_up_to, random_graph
+from helpers import flats_by_filter, graphs_up_to, iter_set_partitions, \
+    random_graph
 
 
 def test_set_partition_counts_are_bell_numbers():

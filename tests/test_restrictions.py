@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from homlattice.basis import expand
 from homlattice.errors import HomlatticeError, ParseError
 from homlattice.graphs import (
     Graph,
+    canonical_form,
     clique,
     is_isomorphic,
     path,
+    quotient,
     spider,
     windmill,
 )
@@ -15,7 +18,6 @@ from homlattice.restrictions import (
     EMB,
     HOM,
     LI,
-    _radius_witness_edges,
     apply_restriction,
     contraction_is_legal,
     custom_restriction,
@@ -27,7 +29,7 @@ from homlattice.restrictions import (
     windmill_apex_deleted,
     windmill_contraction,
 )
-from helpers import graphs_up_to, random_graph
+from helpers import flats_by_filter, graphs_up_to, random_graph
 
 
 def test_parse_restriction():
@@ -69,12 +71,14 @@ def test_li_equals_radius_one():
     assert parse_restriction("li:1") == one
     assert one.label() == "li:1"
     assert one.token() == LI.token()
-    # The common-neighbour builder both use against the witness builder
-    # at radius 1, on all 209 graphs with at most 6 vertices.
+    # Both build the pairs with a common neighbour, on all 209 graphs
+    # with at most 6 vertices.
     for g in (Graph(0),) + graphs_up_to(6):
-        witnessed = Graph(g.n, _radius_witness_edges(g, 1))
-        assert apply_restriction(LI, g) == witnessed
-        assert apply_restriction(one, g) == witnessed
+        common = Graph(g.n, [(u, w) for u in range(g.n)
+                             for w in range(u + 1, g.n)
+                             if g.neighbors(u) & g.neighbors(w)])
+        assert apply_restriction(LI, g) == common
+        assert apply_restriction(one, g) == common
 
 
 def test_li_radius_monotone():
@@ -103,23 +107,51 @@ def test_custom_restriction_is_validated():
 def test_hom_minors_are_the_pattern_alone():
     minors = restriction_minors(HOM, clique(4))
     assert len(minors) == 1
-    assert is_isomorphic(minors.entries[0].graph, clique(4))
+    assert is_isomorphic(minors.terms[0].graph, clique(4))
 
 
 def test_minor_sizes_and_treewidth():
     minors = restriction_minors(LI, path(3))
-    sizes = sorted(entry.graph.n for entry in minors.entries)
+    sizes = sorted(term.graph.n for term in minors.terms)
     assert sizes == [2, 3]
     assert max_minor_treewidth(minors) == 1
 
 
 def test_minors_drop_loopy_quotients():
     minors = restriction_minors(EMB, clique(3))
-    assert sorted(e.graph.n for e in minors.entries) == [3]
+    assert sorted(t.graph.n for t in minors.terms) == [3]
     minors = restriction_minors(EMB, Graph(3))
-    for entry in minors.entries:
-        assert entry.graph.is_loop_free()
-    assert sorted(e.graph.n for e in minors.entries) == [1, 2, 3]
+    for term in minors.terms:
+        assert term.graph.is_loop_free()
+    assert sorted(t.graph.n for t in minors.terms) == [1, 2, 3]
+
+
+def test_minors_and_coefficients_match_filtered_flats():
+    """Every class of loop-free quotients over the filtered set partitions
+    of the constraint graph, with mu summed over the class, is a term of
+    the expansion with that coefficient, and the minors list the same
+    classes in the same order. All graphs with at most 5 vertices, under
+    four built-in restrictions and a custom one constraining the pattern's
+    non-adjacent pairs."""
+    complement = custom_restriction(
+        lambda g: Graph(g.n, [(u, v) for u in range(g.n)
+                              for v in range(u + 1, g.n)
+                              if not g.has_edge(u, v)]),
+        name="complement")
+    restrictions = (HOM, EMB, LI, locally_injective(2), complement)
+    for g in (Graph(0),) + graphs_up_to(5):
+        for tau in restrictions:
+            want = {}
+            for part, _, mu in flats_by_filter(apply_restriction(tau, g)):
+                q = quotient(g, part)
+                if q.is_loop_free():
+                    key = canonical_form(q)
+                    want[key] = want.get(key, 0) + mu
+            terms = expand(tau, g).terms
+            assert {t.key: t.coefficient for t in terms} == want
+            keys = [t.key for t in restriction_minors(tau, g).terms]
+            assert keys == [t.key for t in terms]
+            assert keys == sorted(want, key=lambda k: (-k[0], k))
 
 
 def test_windmill_contraction_roundtrip():
