@@ -9,7 +9,10 @@ block.
 Canonical forms are exact: the key of a graph is the lexicographically
 minimal adjacency-matrix bit string over all vertex relabelings, with the
 diagonal carrying selfloop bits. Two graphs get equal keys exactly when
-they are isomorphic.
+they are isomorphic. The search for it skips a vertex while a lower twin
+(same loop bit, same neighbours apart from each other) is still
+unplaced, since swapping twins is an automorphism, so the search on
+cliques, stars and bicliques no longer grows factorially.
 """
 
 from __future__ import annotations
@@ -272,15 +275,28 @@ def _canonical_search(graph):
     Branch and bound: a partial placement is abandoned as soon as its chunk
     prefix exceeds the best complete key found so far. Candidates are tried
     in ascending chunk order, so the greedy first descent seeds the bound.
+
+    Twins are pruned: u < v are twins when they carry the same loop bit and
+    the same neighbours apart from each other, so swapping them is an
+    automorphism that fixes every other vertex. While both are unplaced
+    they get equal chunks and root mirror-image subtrees, and u's is
+    searched first, so v is skipped. The key and the witness are the ones
+    the unpruned search finds.
     """
     n = graph.n
     masks, loop_mask = graph.adjacency_masks()
+    lower_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if ((loop_mask >> u) & 1 == (loop_mask >> v) & 1
+                    and masks[u] & ~(1 << v) == masks[v] & ~(1 << u)):
+                lower_twins[v] |= 1 << u
     best_key = None
     best_perm = None
     placed = []
     chunks = []
 
-    def extend(depth):
+    def extend(depth, free):
         nonlocal best_key, best_perm
         if depth == n:
             key = tuple(chunks)
@@ -288,10 +304,9 @@ def _canonical_search(graph):
                 best_key = key
                 best_perm = list(placed)
             return
-        used = set(placed)
         options = []
         for v in range(n):
-            if v in used:
+            if not (free >> v) & 1 or lower_twins[v] & free:
                 continue
             chunk = (loop_mask >> v) & 1
             for u in placed:
@@ -305,11 +320,11 @@ def _canonical_search(graph):
                     break
             placed.append(v)
             chunks.append(chunk)
-            extend(depth + 1)
+            extend(depth + 1, free ^ (1 << v))
             placed.pop()
             chunks.pop()
 
-    extend(0)
+    extend(0, (1 << n) - 1)
     if best_key is None:
         best_key = ()
         best_perm = []

@@ -10,9 +10,13 @@ vertex's bucket of factors, together with its pattern edges to vertices
 not yet eliminated, is summed over the host's vertices into one factor
 on the remaining neighbours. No scope exceeds the order's width, so a
 term costs |V(host)|^(width+1) at most. Buckets of width one pass
-length-|V(host)| vectors along host adjacency. Counts are
-arbitrary-precision integers, so hosts can be large as long as the width
-stays small.
+length-|V(host)| vectors along host adjacency. Wider buckets join their
+factors with forward checking (Haralick and Elliott 1980): each assigned
+variable narrows the domains of the later ones at once, so a dead branch
+is cut off where it starts. Factors are nested dicts in elimination
+order, so each bucket reads its factors as tries without rebuilding
+them. Counts are arbitrary-precision integers, so hosts can be large as
+long as the width stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
@@ -131,112 +135,139 @@ def _vector_message(pattern, adj, v, scope, bucket):
     return [sum(map(at, near)) for near in adj]
 
 
-def _trie(scope, table, rank):
-    """Nested dicts keyed by the scope's variables in rank order, with the
-    factor's nonzero values at the leaves."""
-    if isinstance(table, list):
-        return {x: c for x, c in enumerate(table) if c}
-    perm = sorted(range(len(scope)), key=lambda j: rank[scope[j]])
-    last = perm.pop()
-    trie = {}
-    for key, value in table.items():
-        node = trie
-        for j in perm:
-            node = node.setdefault(key[j], {})
-        node[key[last]] = value
-    return trie
-
-
 def _join(pattern, adj, v, scope, bucket):
-    """Sum v out of any bucket by one join over v and then the scope.
+    """Sum v out of any bucket by one join over v and then the scope, with
+    forward checking (Haralick and Elliott 1980).
 
-    A variable's candidates are the host neighbourhoods of its pattern
-    neighbours assigned before it, intersected with the trie level of
-    every factor that holds it. Pattern edges already used by an earlier
-    bucket may prune again, since an edge indicator is idempotent.
+    The join assigns v first and then the scope's variables in order, and
+    reads each factor's nested table as a trie along its scope. Assigning
+    a level narrows the domain of every later level it constrains: through
+    a pattern edge to the host neighbourhood of its image, and through a
+    factor to that factor's child trie node. An image that empties a later
+    domain is skipped at once, so the last level only meets finished
+    domains: it is iterated in place and its weights are added straight
+    into the output row. Pattern edges already used by an earlier bucket
+    may prune again, since an edge indicator is idempotent.
+
+    Returns the sum for an empty scope, a vector over the host's vertices
+    for one variable, and for more, nested dicts of the nonzero entries
+    keyed in scope order, like the factors. A factor whose scope is not
+    in elimination order would be read along the wrong levels, so it
+    raises ``AssertionError``.
     """
     variables = (v,) + scope
+    last = len(scope)
     rank = {u: i for i, u in enumerate(variables)}
-    earlier = [[j for j in range(i) if variables[j] in pattern.neighbors(u)]
-               for i, u in enumerate(variables)]
-    # steps[i]: (slot read, slot written or None for a leaf value) per
-    # factor holding variable i; a factor's trie walks down its slots.
-    steps = [[] for _ in variables]
+    # checks[i]: (later level, trie slot or None for a pattern edge) that
+    # an image at level i narrows; a factor's trie walks down its slots.
+    # ends[i]: the slots whose leaf values an image at level i multiplies.
+    checks = [[(j, None) for j in range(i + 1, last + 1)
+               if variables[j] in pattern.neighbors(u)]
+              for i, u in enumerate(variables)]
+    ends = [[] for _ in variables]
     slots = []
+    domains = [None] * (last + 1)  # None: every host vertex
     for f_scope, table in bucket:
+        levels = [rank[u] for u in f_scope]
+        if levels != sorted(levels):
+            raise AssertionError("factor scope out of elimination order")
         base = len(slots)
-        slots.append(_trie(f_scope, table, rank))
-        slots.extend([None] * (len(f_scope) - 1))
-        for t, u in enumerate(sorted(f_scope, key=rank.__getitem__)):
-            write = base + t + 1 if t + 1 < len(f_scope) else None
-            steps[rank[u]].append((base + t, write))
-    last = len(variables) - 1
-    image = [0] * len(variables)
+        slots.append({x: c for x, c in enumerate(table) if c}
+                     if isinstance(table, list) else table)
+        slots.extend([None] * (len(levels) - 1))
+        for t in range(len(levels) - 1):
+            checks[levels[t]].append((levels[t + 1], base + t))
+        ends[levels[-1]].append(base + len(levels) - 1)
+        # Every factor holds v, so its top level narrows level 0 only.
+        top = slots[base].keys()
+        domains[0] = top if domains[0] is None else domains[0] & top
+    if domains[0] is None:
+        domains[0] = range(len(adj))
+    if not scope:  # unary factors only: sum v out directly
+        total = 0
+        for x in domains[0]:
+            w = 1
+            for s in ends[0]:
+                w *= slots[s][x]
+            total += w
+        return total
+    leaves = ends[last]
+    image = [0] * last
     out = {}
 
-    def extend(i, weight):
-        sets = [adj[image[j]] for j in earlier[i]]
-        sets += [slots[read] for read, _ in steps[i]]
-        sets.sort(key=len)
-        candidates = sets[0] if sets else range(len(adj))
-        for other in sets[1:]:
-            candidates = (other.keys() & candidates if isinstance(other, dict)
-                          else other.intersection(candidates))
-        if i == last:
-            prefix = tuple(image[1:i])
-            leaves = [slots[read] for read, _ in steps[i]]
-            for x in candidates:
-                w = weight
-                for leaf in leaves:
-                    w *= leaf[x]
-                key = prefix + (x,)
-                out[key] = out.get(key, 0) + w
-            return
-        for x in candidates:
-            w = weight
-            for read, write in steps[i]:
-                if write is None:
-                    w *= slots[read][x]
+    def extend(i, weight, given):
+        for x in given[i]:
+            narrowed = given[:]
+            for j, s in checks[i]:
+                if s is None:
+                    near = adj[x]
                 else:
-                    slots[write] = slots[read][x]
-            image[i] = x
-            extend(i + 1, w)
+                    slots[s + 1] = child = slots[s][x]
+                    near = child.keys()
+                d = narrowed[j]
+                d = narrowed[j] = near if d is None else d & near
+                if not d:
+                    break
+            else:
+                w = weight
+                for s in ends[i]:
+                    w *= slots[s][x]
+                image[i] = x
+                if i + 1 < last:
+                    extend(i + 1, w, narrowed)
+                    continue
+                row = out
+                for y in image[1:]:
+                    row = row.setdefault(y, {})
+                if not leaves:
+                    for y in narrowed[last]:
+                        row[y] = row.get(y, 0) + w
+                    continue
+                if len(leaves) == 1:
+                    leaf = slots[leaves[0]]
+                    for y in narrowed[last]:
+                        row[y] = row.get(y, 0) + w * leaf[y]
+                    continue
+                for y in narrowed[last]:
+                    c = w
+                    for s in leaves:
+                        c *= slots[s][y]
+                    row[y] = row.get(y, 0) + c
 
-    extend(0, 1)
-    # With an empty scope the keys are v's own values.
-    if not scope:
-        return sum(out.values())
-    if len(scope) == 1:
-        vector = [0] * len(adj)
-        for (y,), c in out.items():
-            vector[y] = c
-        return vector
-    return out
+    extend(0, 1, domains)
+    if last > 1:
+        return out
+    vector = [0] * len(adj)
+    for y, c in out.items():
+        vector[y] = c
+    return vector
 
 
 def _eliminate(pattern, host, order, width):
     """Homomorphism count by bucket elimination along the given order.
 
     Factors are (scope, table) pairs: a list over host vertices for one
-    variable, a dict of nonzero entries keyed by scope tuples for more.
-    Pattern edges stay implicit as host adjacency, each used by the bucket
-    of its first eliminated endpoint.
+    variable, and for more, nested dicts keyed by the scope's variables in
+    order with the nonzero values at the leaves. Scopes list their
+    variables in elimination order, so the bucket that takes a factor,
+    that of its first variable, reads the table as it is. Pattern edges
+    stay implicit as host adjacency, each used by the bucket of its first
+    eliminated endpoint.
     """
-    adj = [host.neighbors(x) for x in range(host.n)]
+    adj = host._adj  # the host's own adjacency tuple, not a copy
     total = 1
     factors = []
-    done = set()
+    position = {u: i for i, u in enumerate(order)}
     for v in order:
-        done.add(v)
         bucket = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
-        scope = {u for u in pattern.neighbors(v) if u not in done}
+        scope = {u for u in pattern.neighbors(v) if position[u] > position[v]}
         for f_scope, _ in bucket:
             scope.update(f_scope)
         scope.discard(v)
         if len(scope) > width:
             raise AssertionError("elimination scope exceeds the order's width")
-        scope = tuple(sorted(scope))
+        scope = tuple(sorted(scope, key=position.__getitem__))
         unary = len(scope) <= 1 and all(len(s) == 1 for s, _ in bucket)
         step = _vector_message if unary else _join
         table = step(pattern, adj, v, scope, bucket)

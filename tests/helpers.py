@@ -416,3 +416,157 @@ def nice_dp_count(pattern, host, td):
                     table[key] = cnt * other
             tables[node] = table
     return tables[nice.root].get((), 0)
+
+
+def reference_canonical_search(graph):
+    """Second oracle for ``graphs._canonical_search``, the search it
+    replaced, with no twin pruning: the minimal adjacency bit string over
+    all relabelings, plus a witness.
+
+    Bits are compared position by position: placing a vertex at position k
+    contributes the chunk (loop bit, adjacency bits to positions 0..k-1).
+    Branch and bound: a partial placement is abandoned as soon as its chunk
+    prefix exceeds the best complete key found so far. Candidates are tried
+    in ascending chunk order, so the greedy first descent seeds the bound.
+    """
+    n = graph.n
+    masks, loop_mask = graph.adjacency_masks()
+    best_key = None
+    best_perm = None
+    placed = []
+    chunks = []
+
+    def extend(depth):
+        nonlocal best_key, best_perm
+        if depth == n:
+            key = tuple(chunks)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_perm = list(placed)
+            return
+        used = set(placed)
+        options = []
+        for v in range(n):
+            if v in used:
+                continue
+            chunk = (loop_mask >> v) & 1
+            for u in placed:
+                chunk = (chunk << 1) | ((masks[v] >> u) & 1)
+            options.append((chunk, v))
+        options.sort()
+        for chunk, v in options:
+            if best_key is not None:
+                prefix = tuple(chunks) + (chunk,)
+                if prefix > best_key[:depth + 1]:
+                    break
+            placed.append(v)
+            chunks.append(chunk)
+            extend(depth + 1)
+            placed.pop()
+            chunks.pop()
+
+    extend(0)
+    if best_key is None:
+        best_key = ()
+        best_perm = []
+    return (n,) + best_key, best_perm
+
+
+def nonzero_entries(table):
+    """A factor table as a dict from key tuples to its nonzero values, be
+    it a number (empty scope), a vector, a dict keyed by tuples or nested
+    dicts keyed one variable at a time."""
+    if isinstance(table, int):
+        return {(): table} if table else {}
+    if isinstance(table, list):
+        return {(x,): c for x, c in enumerate(table) if c}
+    entries = {}
+    for key, value in table.items():
+        if isinstance(value, dict):
+            for rest, c in nonzero_entries(value).items():
+                entries[(key,) + rest] = c
+        elif value:
+            entries[key if isinstance(key, tuple) else (key,)] = value
+    return entries
+
+
+def _reference_trie(scope, table, rank):
+    """Nested dicts keyed by the scope's variables in rank order, with the
+    factor's nonzero values at the leaves."""
+    perm = sorted(range(len(scope)), key=lambda j: rank[scope[j]])
+    last = perm.pop()
+    trie = {}
+    for key, value in nonzero_entries(table).items():
+        node = trie
+        for j in perm:
+            node = node.setdefault(key[j], {})
+        node[key[last]] = value
+    return trie
+
+
+def reference_join(pattern, adj, v, scope, bucket):
+    """Second oracle for ``treedp._join``, the join it replaced: sum v out
+    of any bucket by one join over v and then the scope, with no forward
+    checking. A variable's candidates are the host neighbourhoods of its
+    pattern neighbours assigned before it, intersected with the trie level
+    of every factor that holds it; a branch is found dead only when its
+    last level's candidate set is empty. Takes factor tables in any
+    nesting and returns a vector for one scope variable, the sum for none,
+    and a dict keyed by scope tuples for more."""
+    variables = (v,) + scope
+    rank = {u: i for i, u in enumerate(variables)}
+    earlier = [[j for j in range(i) if variables[j] in pattern.neighbors(u)]
+               for i, u in enumerate(variables)]
+    # steps[i]: (slot read, slot written or None for a leaf value) per
+    # factor holding variable i; a factor's trie walks down its slots.
+    steps = [[] for _ in variables]
+    slots = []
+    for f_scope, table in bucket:
+        base = len(slots)
+        slots.append(_reference_trie(f_scope, table, rank))
+        slots.extend([None] * (len(f_scope) - 1))
+        for t, u in enumerate(sorted(f_scope, key=rank.__getitem__)):
+            write = base + t + 1 if t + 1 < len(f_scope) else None
+            steps[rank[u]].append((base + t, write))
+    last = len(variables) - 1
+    image = [0] * len(variables)
+    out = {}
+
+    def extend(i, weight):
+        sets = [adj[image[j]] for j in earlier[i]]
+        sets += [slots[read] for read, _ in steps[i]]
+        sets.sort(key=len)
+        candidates = sets[0] if sets else range(len(adj))
+        for other in sets[1:]:
+            candidates = (other.keys() & candidates if isinstance(other, dict)
+                          else other.intersection(candidates))
+        if i == last:
+            prefix = tuple(image[1:i])
+            leaves = [slots[read] for read, _ in steps[i]]
+            for x in candidates:
+                w = weight
+                for leaf in leaves:
+                    w *= leaf[x]
+                key = prefix + (x,)
+                out[key] = out.get(key, 0) + w
+            return
+        for x in candidates:
+            w = weight
+            for read, write in steps[i]:
+                if write is None:
+                    w *= slots[read][x]
+                else:
+                    slots[write] = slots[read][x]
+            image[i] = x
+            extend(i + 1, w)
+
+    extend(0, 1)
+    # With an empty scope the keys are v's own values.
+    if not scope:
+        return sum(out.values())
+    if len(scope) == 1:
+        vector = [0] * len(adj)
+        for (y,), c in out.items():
+            vector[y] = c
+        return vector
+    return out

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from homlattice.graphs import (
     Graph,
     VertexPartition,
+    _canonical_search,
     _labelled_key,
+    biclique,
     bfs_distances,
     canonical_form,
     canonical_representative,
@@ -26,7 +28,7 @@ from homlattice.graphs import (
     windmill,
     windmill_parts,
 )
-from helpers import iso_classes, random_graph
+from helpers import iso_classes, random_graph, reference_canonical_search
 
 
 def test_basic_accessors():
@@ -155,6 +157,38 @@ def test_representative_spells_out_its_key(g):
 def test_singleton_quotient_is_identity(g):
     q = quotient(g, VertexPartition.singletons(g.n))
     assert q.n == g.n and set(q.edges) == set(g.edges)
+
+
+def test_twin_pruning_keeps_key_and_witness():
+    """The pruned search returns the reference search's key and witness
+    permutation on every graph with at most 7 vertices, on random
+    8-vertex graphs and on quotients that carry selfloops."""
+    import networkx as nx
+
+    graphs = [Graph(g.number_of_nodes(), g.edges())
+              for g in nx.graph_atlas_g()]
+    rng = random.Random(61)
+    graphs += [random_graph(rng, 8, rng.choice((0.2, 0.5, 0.8)))
+               for _ in range(150)]
+    loopy = []
+    for g in graphs[::4]:
+        labels = [rng.randrange(max(1, g.n - 2)) for _ in range(g.n)]
+        q = quotient(g, VertexPartition.from_labels(labels))
+        if not q.is_loop_free():
+            loopy.append(q)
+    assert len(loopy) > 100
+    for g in graphs + loopy:
+        assert _canonical_search(g) == reference_canonical_search(g)
+
+
+def test_symmetric_patterns_at_the_limit_canonicalise():
+    # Without twin pruning, clique(12) alone has 12! equal leaves to visit.
+    assert canonical_representative(clique(12)) == clique(12)
+    for g in (clique(12), star(11), biclique(6)):
+        key, perm = _canonical_search(g)
+        assert canonical_form(g) == key == _labelled_key(
+            canonical_representative(g))
+        assert sorted(perm) == list(range(g.n))
 
 
 def test_nonisomorphic_pairs_have_distinct_keys():

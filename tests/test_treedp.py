@@ -6,13 +6,15 @@ from homlattice import treedp
 from homlattice.basis import count_restricted
 from homlattice.cache import LRUCache
 from homlattice.errors import HomlatticeError, HostError, PatternSizeError
-from homlattice.graphs import Graph, biclique, clique, cycle, path, star
+from homlattice.graphs import (Graph, biclique, canonical_representative,
+                               clique, cycle, path, star)
 from homlattice.oracle import brute_hom, brute_restricted
 from homlattice.restrictions import EMB, LI, locally_injective
 from homlattice.treedp import hom_count, treewidth_exact
 from helpers import (TreeDecomposition, all_trees, decomposition_from_order,
-                     graphs_up_to, make_nice, nice_dp_count, random_graph,
-                     random_host, validate_decomposition)
+                     graphs_up_to, make_nice, nice_dp_count, nonzero_entries,
+                     random_graph, random_host, reference_join,
+                     validate_decomposition)
 
 
 def test_exact_treewidth_values():
@@ -97,10 +99,75 @@ def test_vector_path_matches_general_join(monkeypatch):
         tree, treewidth_exact(tree)[1])) for tree in trees]
 
 
+def test_join_matches_reference_join(monkeypatch):
+    rng = random.Random(31)
+    hosts = [Graph(0), Graph(4), Graph(6, [(0, 1), (1, 2), (0, 2)]),
+             random_host(rng, 6, 9), random_graph(rng, 5, 0.7)]
+    # 600 edges on the first 180 of 200 vertices: 20 stay isolated.
+    hosts.append(Graph(200, random_host(rng, 180, 600).edges))
+    join = treedp._join
+    calls = []
+
+    def recorded(*args):
+        table = join(*args)
+        calls.append((args, table))
+        return table
+
+    monkeypatch.setattr(treedp, "_join", recorded)
+    for host in hosts:
+        for pattern in (Graph(0),) + graphs_up_to(5):
+            hom_count(pattern, host)
+    assert {len(args[3]) for args, _ in calls} == {1, 2, 3, 4}
+    for args, table in calls:
+        assert nonzero_entries(table) == nonzero_entries(reference_join(*args))
+
+
+def _traces(host):
+    """tr(A^3), tr(A^4) and tr(A^5) of the host's adjacency matrix A, by
+    counting walks: (A^(a+b))_ss is the sum over x of (A^a)_sx (A^b)_sx."""
+    traces = [0, 0, 0]
+    for s in range(host.n):
+        walks = [{s: 1}]
+        for _ in range(3):
+            step = {}
+            for x, c in walks[-1].items():
+                for y in host.neighbors(x):
+                    step[y] = step.get(y, 0) + c
+            walks.append(step)
+        _, one, two, three = walks
+        traces[0] += sum(c * two.get(x, 0) for x, c in one.items())
+        traces[1] += sum(c * c for c in two.values())
+        traces[2] += sum(c * three.get(x, 0) for x, c in two.items())
+    return traces
+
+
+def test_cycle_counts_on_large_hosts_are_traces():
+    rng = random.Random(53)
+    uniform = random_host(rng, 300, 900)
+    hub = Graph(300, set(random_host(rng, 300, 800).edges)
+                | {(0, x) for x in range(1, 101)})
+    patterns = [clique(3), cycle(4), cycle(5)]
+    for host in (uniform, hub):
+        counts = [hom_count(p, host) for p in patterns]
+        assert counts == _traces(host)
+        for pattern, count in zip(patterns, counts):
+            canonical = canonical_representative(pattern)
+            # The cycles' two labellings give other buckets along the
+            # order; a labelled triangle is its own form.
+            assert (canonical != pattern) == (pattern.m > 3)
+            assert hom_count(canonical, host) == count
+
+
 def test_scope_beyond_width_is_caught():
     _, order = treedp._exact_order(cycle(4))
     with pytest.raises(AssertionError):
         treedp._eliminate(cycle(4), clique(3), order, 1)
+
+
+def test_factor_out_of_elimination_order_is_caught():
+    # Tables nest in scope order, which must be the bucket's level order.
+    with pytest.raises(AssertionError):
+        treedp._join(cycle(4), (), 0, (1, 3), [((0, 3, 1), {})])
 
 
 def test_counts_match_brute_force():
