@@ -13,6 +13,12 @@ they are isomorphic. The search for it skips a vertex while a lower twin
 (same loop bit, same neighbours apart from each other) is still
 unplaced, since swapping twins is an automorphism, so the search on
 cliques, stars and bicliques no longer grows factorially.
+
+The search also counts automorphisms: |Aut| is the number of leaves tied
+with the minimal key times |C|! per twin class C. Twinship is an
+equivalence, every class is a clique or an independent set with one
+outside neighbourhood (so permuting it is an automorphism), and the
+pruning keeps one leaf per coset of that within-class group.
 """
 
 from __future__ import annotations
@@ -262,13 +268,14 @@ def component_subgraphs(graph):
 
 
 def _invariant_classes(graph):
-    """Per-vertex (loop, degree) invariants, used to cut search spaces."""
+    """Per-vertex (loop, degree) invariants, compared before any search."""
     loops = graph.loops()
     return [(v in loops, graph.degree(v)) for v in range(graph.n)]
 
 
 def _canonical_search(graph):
-    """Minimal adjacency bit string over all relabelings, plus a witness.
+    """Minimal adjacency bit string over all relabelings, a witness, and
+    the order of the automorphism group.
 
     Bits are compared position by position: placing a vertex at position k
     contributes the chunk (loop bit, adjacency bits to positions 0..k-1).
@@ -282,6 +289,15 @@ def _canonical_search(graph):
     they get equal chunks and root mirror-image subtrees, and u's is
     searched first, so v is skipped. The key and the witness are the ones
     the unpruned search finds.
+
+    Only strictly greater prefixes are cut, so every leaf tied with the
+    minimal key is visited; unpruned there are |Aut| of them. The group
+    order is the tied leaves times |C|! per twin class C, exactly, since
+    twinship is an equivalence (no vertex has both a true and a false
+    twin), every class is a clique or an independent set with one outside
+    neighbourhood (so permuting it is an automorphism), and the pruning
+    places each class in ascending order, one leaf per coset of that
+    within-class group. The i-th member of a class has i - 1 lower twins.
     """
     n = graph.n
     masks, loop_mask = graph.adjacency_masks()
@@ -293,16 +309,19 @@ def _canonical_search(graph):
                 lower_twins[v] |= 1 << u
     best_key = None
     best_perm = None
+    ties = 0
     placed = []
     chunks = []
 
     def extend(depth, free):
-        nonlocal best_key, best_perm
+        nonlocal best_key, best_perm, ties
         if depth == n:
             key = tuple(chunks)
             if best_key is None or key < best_key:
                 best_key = key
                 best_perm = list(placed)
+                ties = 0
+            ties += 1  # the bound keeps every leaf at or below best_key
             return
         options = []
         for v in range(n):
@@ -325,23 +344,21 @@ def _canonical_search(graph):
             chunks.pop()
 
     extend(0, (1 << n) - 1)
-    if best_key is None:
-        best_key = ()
-        best_perm = []
-    return (n,) + best_key, best_perm
+    aut = ties * math.prod(t.bit_count() + 1 for t in lower_twins)
+    return (n,) + best_key, best_perm, aut
 
 
 def canonical_form(graph, limit=None):
     """Deterministic key equal across graphs exactly when isomorphic."""
     ensure_pattern_size(graph.n, limit)
-    key, _ = _canonical_search(graph)
+    key, _, _ = _canonical_search(graph)
     return key
 
 
 def canonical_representative(graph, limit=None):
     """Relabeling of the graph realizing its canonical key."""
     ensure_pattern_size(graph.n, limit)
-    _, perm = _canonical_search(graph)
+    _, perm, _ = _canonical_search(graph)
     relabel = [0] * graph.n
     for pos, old in enumerate(perm):
         relabel[old] = pos
@@ -400,41 +417,11 @@ def is_isomorphic(a, b, limit=None):
 
 
 def count_automorphisms(graph, limit=None):
-    """Number of edge- and loop-preserving bijections of the graph."""
+    """Number of edge- and loop-preserving bijections of the graph, read
+    off the canonical search (see ``_canonical_search``)."""
     ensure_pattern_size(graph.n, limit)
-    n = graph.n
-    if n == 0:
-        return 1
-    masks, loop_mask = graph.adjacency_masks()
-    invar = _invariant_classes(graph)
-    candidates = [[w for w in range(n) if invar[w] == invar[v]]
-                  for v in range(n)]
-    count = 0
-    image = [-1] * n
-    used = [False] * n
-
-    def place(v):
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if ((masks[v] >> u) & 1) != ((masks[w] >> image[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                image[v] = w
-                place(v + 1)
-                used[w] = False
-        return
-
-    place(0)
-    return count
+    _, _, aut = _canonical_search(graph)
+    return aut
 
 
 def path(k):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .errors import BudgetError, HomlatticeError
-from .graphs import Graph, bfs_distances, is_isomorphic, quotient
+from .graphs import Graph, bfs_distances, quotient
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -62,6 +62,10 @@ def _hom_search(pattern, host, accept_partial, accept_full):
     return count
 
 
+def _injective(v, g, image):
+    return g not in image[:v]
+
+
 def brute_hom(pattern, host, budget=DEFAULT_BUDGET):
     """Exact homomorphism count by exhaustive search."""
     if not pattern.is_loop_free() or not host.is_loop_free():
@@ -87,10 +91,7 @@ def brute_restricted(restriction, pattern, host, budget=DEFAULT_BUDGET):
     if kind == "hom":
         return brute_hom(pattern, host, budget)
     if kind == "emb":
-        return _hom_search(
-            pattern, host,
-            lambda v, g, image: g not in image[:v],
-            lambda image: True)
+        return _hom_search(pattern, host, _injective, lambda image: True)
     if kind == "li":
         if restriction.radius is None:
             zones = [sorted(pattern.neighbors(v)) for v in range(pattern.n)]
@@ -132,6 +133,8 @@ def brute_subgraphs(pattern, host, budget=DEFAULT_BUDGET):
 
     A subgraph is a vertex subset together with an edge subset inside it;
     both sizes must match the pattern before the isomorphism test runs.
+    With equal vertex and edge counts an injective homomorphism from the
+    pattern is an isomorphism, so the test is one more injective search.
     """
     if not pattern.is_loop_free() or not host.is_loop_free():
         raise HomlatticeError("oracle expects loop-free graphs")
@@ -151,7 +154,8 @@ def brute_subgraphs(pattern, host, budget=DEFAULT_BUDGET):
         index = {v: i for i, v in enumerate(verts)}
         for chosen in combinations(inside, pattern.m):
             candidate = Graph(k, [(index[u], index[v]) for u, v in chosen])
-            if is_isomorphic(candidate, pattern):
+            if _hom_search(pattern, candidate, _injective,
+                           lambda image: True):
                 count += 1
     return count
 

@@ -289,10 +289,10 @@ def hom_count(pattern, host, limit=None):
     Disconnected patterns factor into a product over their components;
     each component's count is memoised per host (see the module notes).
     """
-    if pattern.n == 0:
-        return 1
     if not host.is_loop_free():
         raise HostError("host must be loop-free")
+    if pattern.n == 0:
+        return 1
     counts = _memo.get(host)
     if counts is None:
         counts = LRUCache(_MEMO_TERMS)

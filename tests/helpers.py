@@ -472,6 +472,43 @@ def reference_canonical_search(graph):
     return (n,) + best_key, best_perm
 
 
+def reference_count_automorphisms(graph):
+    """Second oracle for ``graphs.count_automorphisms``, the counter it
+    replaced: backtrack through the edge- and loop-preserving bijections
+    one at a time, mapping each vertex only to vertices of the same loop
+    bit and degree."""
+    n = graph.n
+    masks, loop_mask = graph.adjacency_masks()
+    invar = [((loop_mask >> v) & 1, graph.degree(v)) for v in range(n)]
+    candidates = [[w for w in range(n) if invar[w] == invar[v]]
+                  for v in range(n)]
+    count = 0
+    image = [-1] * n
+    used = [False] * n
+
+    def place(v):
+        nonlocal count
+        if v == n:
+            count += 1
+            return
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            ok = True
+            for u in range(v):
+                if ((masks[v] >> u) & 1) != ((masks[w] >> image[u]) & 1):
+                    ok = False
+                    break
+            if ok:
+                used[w] = True
+                image[v] = w
+                place(v + 1)
+                used[w] = False
+
+    place(0)
+    return count
+
+
 def nonzero_entries(table):
     """A factor table as a dict from key tuples to its nonzero values, be
     it a number (empty scope), a vector, a dict keyed by tuples or nested

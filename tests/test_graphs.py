@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,8 @@ from homlattice.graphs import (
     windmill,
     windmill_parts,
 )
-from helpers import iso_classes, random_graph, reference_canonical_search
+from helpers import (iso_classes, random_graph, reference_canonical_search,
+                     reference_count_automorphisms)
 
 
 def test_basic_accessors():
@@ -79,6 +82,15 @@ def test_automorphism_counts():
     assert count_automorphisms(star(3)) == 6
     assert count_automorphisms(cycle(4)) == 8
     assert count_automorphisms(Graph(1)) == 1
+    assert count_automorphisms(Graph(0)) == 1
+    # Listing these groups map by map would take minutes to hours.
+    for g, order in ((clique(12), math.factorial(12)),
+                     (edgeless(12), math.factorial(12)),
+                     (star(11), math.factorial(11)),
+                     (biclique(6), 2 * math.factorial(6) ** 2)):
+        start = time.perf_counter()
+        assert count_automorphisms(g) == order
+        assert time.perf_counter() - start < 1.0
 
 
 def test_distances():
@@ -159,33 +171,83 @@ def test_singleton_quotient_is_identity(g):
     assert q.n == g.n and set(q.edges) == set(g.edges)
 
 
-def test_twin_pruning_keeps_key_and_witness():
-    """The pruned search returns the reference search's key and witness
-    permutation on every graph with at most 7 vertices, on random
-    8-vertex graphs and on quotients that carry selfloops."""
+def _atlas():
+    """Every graph with at most 7 vertices."""
     import networkx as nx
 
-    graphs = [Graph(g.number_of_nodes(), g.edges())
-              for g in nx.graph_atlas_g()]
-    rng = random.Random(61)
-    graphs += [random_graph(rng, 8, rng.choice((0.2, 0.5, 0.8)))
-               for _ in range(150)]
+    return [Graph(g.number_of_nodes(), g.edges())
+            for g in nx.graph_atlas_g()]
+
+
+def _loopy_quotients(rng, graphs):
+    """Quotients of every fourth graph that carry a selfloop."""
     loopy = []
     for g in graphs[::4]:
         labels = [rng.randrange(max(1, g.n - 2)) for _ in range(g.n)]
         q = quotient(g, VertexPartition.from_labels(labels))
         if not q.is_loop_free():
             loopy.append(q)
+    return loopy
+
+
+def test_twin_pruning_keeps_key_and_witness():
+    """The pruned search returns the reference search's key and witness
+    permutation on every graph with at most 7 vertices, on random
+    8-vertex graphs and on quotients that carry selfloops."""
+    graphs = _atlas()
+    rng = random.Random(61)
+    graphs += [random_graph(rng, 8, rng.choice((0.2, 0.5, 0.8)))
+               for _ in range(150)]
+    loopy = _loopy_quotients(rng, graphs)
     assert len(loopy) > 100
     for g in graphs + loopy:
-        assert _canonical_search(g) == reference_canonical_search(g)
+        key, perm, _ = _canonical_search(g)
+        assert (key, perm) == reference_canonical_search(g)
+
+
+def test_automorphism_counts_match_the_backtracker():
+    """The tie count agrees with listing the automorphisms one by one on
+    every graph with at most 7 vertices, a random relabelling of each,
+    quotients that carry selfloops and random 8-9-vertex graphs."""
+    graphs = _atlas()
+    rng = random.Random(67)
+    for g in list(graphs):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabeled(perm))
+    graphs += [random_graph(rng, rng.choice((8, 9)),
+                            rng.choice((0.2, 0.5, 0.8)))
+               for _ in range(100)]
+    loopy = _loopy_quotients(rng, graphs)
+    assert len(loopy) > 100
+    for g in graphs + loopy:
+        assert count_automorphisms(g) == reference_count_automorphisms(g)
+
+
+def test_automorphism_counts_match_networkx():
+    """The tie count agrees with networkx's isomorphism matcher, which
+    maps selfloops to selfloops, on every graph with at most 6 vertices
+    and on quotients that carry selfloops."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    graphs = [g for g in _atlas() if g.n <= 6]
+    loopy = _loopy_quotients(random.Random(71), graphs)
+    assert len(loopy) > 20
+    for g in graphs + loopy:
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges)
+        matcher = GraphMatcher(nxg, nxg)
+        assert count_automorphisms(g) == sum(
+            1 for _ in matcher.isomorphisms_iter())
 
 
 def test_symmetric_patterns_at_the_limit_canonicalise():
     # Without twin pruning, clique(12) alone has 12! equal leaves to visit.
     assert canonical_representative(clique(12)) == clique(12)
     for g in (clique(12), star(11), biclique(6)):
-        key, perm = _canonical_search(g)
+        key, perm, _ = _canonical_search(g)
         assert canonical_form(g) == key == _labelled_key(
             canonical_representative(g))
         assert sorted(perm) == list(range(g.n))

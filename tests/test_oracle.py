@@ -5,7 +5,7 @@ import pytest
 
 from homlattice.errors import BudgetError, HomlatticeError
 from homlattice.flats import enumerate_flats
-from homlattice.graphs import VertexPartition, clique, cycle, path
+from homlattice.graphs import VertexPartition, clique, cycle, path, star
 from homlattice.oracle import (
     brute_hom,
     brute_restricted,
@@ -44,6 +44,8 @@ def test_subgraph_counts():
     assert brute_subgraphs(clique(2), clique(3)) == 3
     assert brute_subgraphs(path(3), clique(3)) == 3
     assert brute_subgraphs(clique(3), clique(4)) == 4
+    assert brute_subgraphs(path(4), cycle(4)) == 4
+    assert brute_subgraphs(star(3), cycle(4)) == 0
 
 
 def test_budget_exhaustion():
@@ -113,3 +115,26 @@ def test_permanent_rejects_bad_matrices():
         permanent_ryser([[1, 0]])
     with pytest.raises(HomlatticeError):
         permanent_ryser([[2]])
+
+
+def test_oracle_takes_only_graph_basics_from_graphs():
+    """The oracle stays independent of the canonical search it checks:
+    from ``graphs`` it imports the Graph type, distances and quotients
+    and nothing else."""
+    import ast
+    import inspect
+
+    from homlattice import oracle
+
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in ("graphs", "homlattice.graphs"):
+                imported |= names
+            elif node.module in (None, "homlattice"):
+                assert "graphs" not in names
+        elif isinstance(node, ast.Import):
+            assert all("graphs" not in alias.name for alias in node.names)
+    assert "Graph" in imported
+    assert imported <= {"Graph", "bfs_distances", "quotient"}

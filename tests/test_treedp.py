@@ -252,8 +252,9 @@ def test_memo_hits_still_check_limits():
     table = LRUCache(treedp._MEMO_TERMS)
     table.put(path(2), 1)
     treedp._memo.put(loopy, table)  # a planted entry must not answer
-    with pytest.raises(HostError):
-        hom_count(path(2), loopy)
+    for pattern in (path(2), Graph(1), Graph(0)):
+        with pytest.raises(HostError):
+            hom_count(pattern, loopy)
 
 
 def test_components_are_counted_once_per_host(monkeypatch):
