@@ -26,47 +26,50 @@ relabelling needs one. ``expansion_cache_info`` and
 ``expansion_cache_clear`` report on and empty the cache.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .cache import LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .flats import enumerate_flats
-from .graphs import (Graph, _group_quotients, _labelled_key,
+from .graphs import (_Value, _group_quotients, _labelled_key,
                      canonical_representative)
-from .restrictions import EMB, Restriction, apply_restriction
+from .restrictions import EMB, apply_restriction
 from .treedp import hom_count
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(_Value):
     """One isomorphism class of minors with its condensed coefficient."""
 
-    coefficient: int
-    graph: Graph
-    key: tuple
+    __slots__ = _fields = ("coefficient", "graph", "key")
+
+    def __init__(self, coefficient, graph, key):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "key", key)
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
-    pattern: Graph
-    restriction: Restriction
-    terms: tuple
+class BasisExpansion(_Value):
+    __slots__ = _fields = ("pattern", "restriction", "terms")
+
+    def __init__(self, pattern, restriction, terms):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "restriction", restriction)
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self):
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class LinearCombination:
+class LinearCombination(_Value):
     """Nonnegative rational weights on (restriction, pattern) pairs."""
 
-    terms: tuple
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def build(entries):
+        from fractions import Fraction
+
         norm = []
         for coeff, restriction, pattern in entries:
             coeff = Fraction(coeff)
@@ -164,6 +167,8 @@ def evaluate_combination(combination, host, limit=None):
     """Exact rational value of a linear combination on a host."""
     if not host.is_loop_free():
         raise HostError("host graph must be loop-free")
+    from fractions import Fraction
+
     total = Fraction(0)
     for coeff, restriction, pattern in combination.terms:
         total += coeff * evaluate(expand(restriction, pattern, limit),

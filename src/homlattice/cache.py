@@ -1,7 +1,5 @@
 """Bounded least-recently-used caches that count their hits and misses."""
 
-from __future__ import annotations
-
 from collections import OrderedDict, namedtuple
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -8,12 +8,9 @@ precondition failures, 2 for unparsable input, 3 for pattern-size or
 budget limits.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import basis, oracle, permtree
 from .errors import (
@@ -94,6 +91,8 @@ def _load_graph(path):
 
 
 def _parse_coefficient(text):
+    from fractions import Fraction
+
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -152,7 +151,7 @@ def _cmd_minors(args):
     restriction = parse_restriction(args.tau)
     pattern = _load_graph(args.pattern)
     minors = restriction_minors(restriction, pattern, limit=args.limit)
-    widest = 0
+    widest = -1
     for term in minors.terms:
         width, _ = treewidth_exact(term.graph, limit=args.limit)
         widest = max(widest, width)

@@ -10,23 +10,19 @@ interval below a flat is the product of its blocks' bond lattices (Rota
 1964), mu(bottom, flat) is the product of per-block values.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import HomlatticeError, ensure_pattern_size
-from .graphs import Graph, VertexPartition, connected_components
+from .graphs import VertexPartition, _Value, connected_components
 
 
-@dataclass(frozen=True)
-class Flat:
-    partition: VertexPartition
-    rank: int
+class Flat(_Value):
+    __slots__ = _fields = ("partition", "rank")
+
+    def __init__(self, partition, rank):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "rank", rank)
 
 
-@dataclass(frozen=True)
-class FlatLattice:
+class FlatLattice(_Value):
     """All flats of one constraint graph, sorted by rank, then by
     ``partition.key()``, with ``mobius`` holding mu(bottom, flat) per flat.
 
@@ -34,16 +30,23 @@ class FlatLattice:
     it is built on first access.
     """
 
-    constraint: Graph
-    flats: tuple
-    mobius: tuple
+    _fields = ("constraint", "flats", "mobius")
+    __slots__ = _fields + ("_leq",)
 
-    @cached_property
+    def __init__(self, constraint, flats, mobius):
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "mobius", mobius)
+
+    @property
     def leq(self):
-        return tuple(sum(1 << j for j, lo in enumerate(self.flats)
-                         if lo.rank <= hi.rank
-                         and partition_leq(lo.partition, hi.partition))
-                     for hi in self.flats)
+        if not hasattr(self, "_leq"):
+            object.__setattr__(self, "_leq", tuple(
+                sum(1 << j for j, lo in enumerate(self.flats)
+                    if lo.rank <= hi.rank
+                    and partition_leq(lo.partition, hi.partition))
+                for hi in self.flats))
+        return self._leq
 
     def bottom(self):
         return self.flats[0]

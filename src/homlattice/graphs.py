@@ -21,10 +21,7 @@ outside neighbourhood (so permuting it is an automorphism), and the
 pruning keeps one leaf per coset of that within-class group.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 from .errors import PartitionError, ensure_pattern_size
 
@@ -134,16 +131,51 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_list()}{flag})"
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class _Value:
+    """Frozen value object. A subclass names its fields in ``_fields`` and
+    stores them in ``__init__`` with ``object.__setattr__``; equality,
+    hashing, repr and pickling go through the field tuple."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class VertexPartition(_Value):
     """A partition of 0..n-1 into disjoint nonempty blocks.
 
     Blocks are stored sorted by their minimum element; block_of maps each
     vertex to the index of its block.
     """
 
-    blocks: tuple
-    block_of: tuple
+    __slots__ = _fields = ("blocks", "block_of")
+
+    def __init__(self, blocks, block_of):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "block_of", block_of)
 
     @staticmethod
     def from_blocks(blocks):

@@ -8,8 +8,6 @@ than through constraint graphs. Enumerations refuse to start when the
 search space exceeds the budget.
 """
 
-from __future__ import annotations
-
 from itertools import combinations, permutations, product
 
 from .errors import BudgetError, HomlatticeError

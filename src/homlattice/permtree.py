@@ -18,12 +18,8 @@ embeddings. Subtree counts divide out the pattern's automorphisms, which
 are counted through rooted shapes at the tree's center.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import HomlatticeError, ParseError, TreeError
-from .graphs import Graph, connected_components
+from .graphs import Graph, _Value, connected_components
 
 
 def check_tree(graph):
@@ -70,17 +66,19 @@ def parse_matrix(text):
     return matrix
 
 
-@dataclass(frozen=True)
-class GadgetTree:
+class GadgetTree(_Value):
     """The gadget with a role tag per vertex.
 
     Roles: ("root",), ("top", j), ("spine", i, j), ("pendant", i, j),
     ("hub", j), ("hub_leaf", j, t) with 1-based i, j.
     """
 
-    graph: Graph
-    roles: tuple
-    size: int
+    __slots__ = _fields = ("graph", "roles", "size")
+
+    def __init__(self, graph, roles, size):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "size", size)
 
     def vertices_with_role(self, tag):
         return [v for v, role in enumerate(self.roles) if role[0] == tag]
@@ -273,10 +271,12 @@ def count_subtrees(pattern, host):
     return emb // aut
 
 
-@dataclass(frozen=True)
-class PermanentCheck:
-    permanent: int
-    subtree_count: int
+class PermanentCheck(_Value):
+    __slots__ = _fields = ("permanent", "subtree_count")
+
+    def __init__(self, permanent, subtree_count):
+        object.__setattr__(self, "permanent", permanent)
+        object.__setattr__(self, "subtree_count", subtree_count)
 
     @property
     def match(self):

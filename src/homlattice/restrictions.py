@@ -20,30 +20,26 @@ signed expansion: every condensed coefficient is nonzero, so no class of
 loop-free quotients drops out of it.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import HomlatticeError, ParseError
 from .flats import blocks_connected
-from .graphs import (Graph, VertexPartition, bfs_distances, quotient, spider,
-                     spider_parts, windmill, windmill_parts)
+from .graphs import (Graph, VertexPartition, _Value, bfs_distances, quotient,
+                     spider, spider_parts, windmill, windmill_parts)
 
 
-@dataclass(frozen=True)
-class Restriction:
-    kind: str
-    radius: int = None
-    name: str = None
-    build: object = None
+class Restriction(_Value):
+    __slots__ = _fields = ("kind", "radius", "name", "build")
 
-    def __post_init__(self):
-        if self.kind not in ("hom", "emb", "li", "custom"):
-            raise ValueError(f"unknown restriction kind {self.kind!r}")
-        if self.radius is not None and (self.kind != "li" or self.radius < 1):
+    def __init__(self, kind, radius=None, name=None, build=None):
+        if kind not in ("hom", "emb", "li", "custom"):
+            raise ValueError(f"unknown restriction kind {kind!r}")
+        if radius is not None and (kind != "li" or radius < 1):
             raise ValueError("radius applies to li and must be >= 1")
-        if self.kind == "custom" and self.build is None:
+        if kind == "custom" and build is None:
             raise ValueError("custom restriction needs a build callable")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "build", build)
 
     def token(self):
         """Cache token; None when results must not be cached."""

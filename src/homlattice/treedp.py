@@ -30,8 +30,6 @@ pattern checks run on every call, hit or miss. ``hom_cache_info`` and
 ``hom_cache_clear`` report on and empty the memo.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .cache import CacheInfo, LRUCache

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from homlattice.cli import main, parse_graph, parse_manifest, serialize_graph
 from homlattice.errors import ParseError
 from homlattice.graphs import Graph, clique, cycle, path, windmill
+from homlattice.restrictions import (LI, max_minor_treewidth,
+                                     restriction_minors)
 
 
 @pytest.fixture
@@ -107,6 +109,14 @@ def test_minors_command(capsys, graph_file):
                  graph_file("w3.g", windmill(3))]) == 0
     out = capsys.readouterr().out
     assert out.endswith("max-treewidth: 3\n")
+
+
+def test_minors_on_the_empty_pattern(capsys, write):
+    empty = write("empty.g", "p edge 0 0\n")
+    assert main(["minors", "--tau", "li", "--pattern", empty]) == 0
+    assert capsys.readouterr().out == "0\t-1\t\nmax-treewidth: -1\n"
+    minors = restriction_minors(LI, Graph(0))
+    assert max_minor_treewidth(minors) == -1
 
 
 def test_lincomb_command(capsys, write, graph_file):
@@ -238,3 +248,20 @@ def test_module_entry_point(graph_file):
         capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert result.stdout == "6\n"
+
+
+def test_import_leaves_heavy_modules_out(write, graph_file):
+    graph_file("p3.g", path(3))
+    k3 = graph_file("k3.g", clique(3))
+    manifest = write("fifth.lc", "1/5 hom p3.g\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = (
+        f"import sys\nsys.path.insert(0, {src!r})\nimport homlattice\n"
+        "print(sorted({'dataclasses', 'fractions', 'inspect'}"
+        " & set(sys.modules)))\n"
+        "from homlattice.cli import main\n"
+        f"main(['lincomb', '--manifest', {manifest!r}, '--host', {k3!r}])\n")
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n12/5\n"
