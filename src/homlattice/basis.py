@@ -150,6 +150,9 @@ def evaluate(expansion, host, limit=None):
     """Value of the expansion on a loop-free host graph."""
     if not host.is_loop_free():
         raise HostError("host graph must be loop-free")
+    if expansion.terms:
+        limit = ensure_pattern_size(
+            max(term.graph.n for term in expansion.terms), limit)
     total = 0
     for term in expansion.terms:
         total += term.coefficient * hom_count(term.graph, host, limit)

@@ -287,18 +287,6 @@ def connected_components(graph):
     return count, labels
 
 
-def component_subgraphs(graph):
-    """Induced subgraph per component; a connected graph is returned as
-    itself, not rebuilt."""
-    count, labels = connected_components(graph)
-    if count == 1:
-        return [graph]
-    verts = [[] for _ in range(count)]
-    for v, lab in enumerate(labels):
-        verts[lab].append(v)
-    return [graph.induced(vs) for vs in verts]
-
-
 def _invariant_classes(graph):
     """Per-vertex (loop, degree) invariants, compared before any search."""
     loops = graph.loops()

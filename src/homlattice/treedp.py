@@ -1,16 +1,21 @@
 """Exact treewidth and homomorphism counting by bucket elimination.
 
-Treewidth is computed exactly by dynamic programming over subsets of the
-vertex set (elimination-order formulation), so patterns must stay within
-the global size limit. ``treewidth_exact`` returns the width together
-with an optimal elimination order as its witness; no tree decomposition
-is built. The order is cached per pattern graph. Homomorphism counts
-eliminate the pattern's vertices along that order (Dechter 1999): each
-vertex's bucket of factors, together with its pattern edges to vertices
-not yet eliminated, is summed over the host's vertices into one factor
-on the remaining neighbours. No scope exceeds the order's width, so a
-term costs |V(host)|^(width+1) at most. Buckets of width one pass
-length-|V(host)| vectors along host adjacency. Wider buckets join their
+Each pattern gets one elimination plan, cached per pattern graph: its
+connected components, each with an optimal elimination order and that
+order's width. A tree is eliminated leaves first, along a breadth-first
+order from a vertex of highest degree, reversed. Any other component
+takes the order found by dynamic programming over subsets of its
+vertices (elimination-order formulation), so patterns must stay within
+the global size limit. ``treewidth_exact`` returns the largest width
+together with the component orders joined end to end as its witness; no
+tree decomposition is built. Homomorphism counts eliminate each
+component's vertices along its order (Dechter 1999): each vertex's
+bucket of factors, together with its pattern edges to vertices not yet
+eliminated, is summed over the host's vertices into one factor on the
+remaining neighbours. No scope exceeds the order's width, so a term
+costs |V(host)|^(width+1) at most. Buckets of width one pass
+length-|V(host)| vectors along host adjacency; a tree's leaves pass
+their host degrees without reading the adjacency. Wider buckets join their
 factors with forward checking (Haralick and Elliott 1980): each assigned
 variable narrows the domains of the later ones at once, so a dead branch
 is cut off where it starts. Factors are nested dicts in elimination
@@ -34,7 +39,7 @@ from functools import lru_cache
 
 from .cache import CacheInfo, LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
-from .graphs import component_subgraphs
+from .graphs import connected_components
 
 _MEMO_HOSTS = 4
 _MEMO_TERMS = 1024
@@ -62,19 +67,16 @@ def _boundary_size(adj_masks, elim_mask, v):
     return bin(boundary).count("1")
 
 
-@lru_cache(maxsize=1024)
 def _exact_order(graph):
     """(width, order) of an optimal elimination order of a loop-free graph.
 
     Subset dynamic programming over elimination prefixes: the cost of a set
     S is the best possible width of an ordering eliminating S first. Ties
     between eliminated vertices break toward the smallest index, so the
-    order is deterministic. Graphs are immutable and hashable, and terms
-    are canonical representatives, so repeated queries hit the cache.
+    order is deterministic. It costs 2^n table entries and is not cached
+    here: ``_plan`` runs it once per component of a cached pattern.
     """
     n = graph.n
-    if n == 0:
-        return -1, ()
     adj_masks, _ = graph.adjacency_masks()
     full = (1 << n) - 1
     cost = [-1] * (full + 1)
@@ -105,16 +107,64 @@ def _exact_order(graph):
     return cost[full], tuple(order)
 
 
+def _tree_order(tree):
+    """(width, order) of a tree, leaves first: breadth-first search from a
+    vertex of highest degree (lowest index on ties), reversed. Every
+    vertex but the root then has one neighbour later in the order, its
+    parent, so no bucket holds more than one variable."""
+    root = max(range(tree.n), key=lambda v: (tree.degree(v), -v))
+    order = [root]
+    seen = {root}
+    for v in order:
+        for w in sorted(tree.neighbors(v)):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    order.reverse()
+    return min(tree.n - 1, 1), tuple(order)
+
+
+@lru_cache(maxsize=1024)
+def _plan(graph):
+    """Elimination plan of a loop-free graph: ``(width, order, parts)``.
+
+    ``parts`` holds ``(component, width, order)`` per connected component,
+    in the component's own labels; the component is None when the graph
+    is connected, so callers count the graph object they hold. A tree
+    takes ``_tree_order`` and any other component the subset DP's
+    optimal order. ``width`` is the largest component width (-1 for the
+    empty graph) and ``order`` joins the component orders end to end in
+    the graph's labels. Graphs are immutable and hashable, and terms are
+    canonical representatives, so repeated queries hit the cache.
+    """
+    count, labels = connected_components(graph)
+    groups = [[] for _ in range(count)]
+    for v, lab in enumerate(labels):
+        groups[lab].append(v)
+    parts = []
+    for vs in groups:
+        comp = graph if count == 1 else graph.induced(vs)
+        order_of = _tree_order if comp.m == comp.n - 1 else _exact_order
+        parts.append((None if count == 1 else comp, *order_of(comp)))
+    parts = tuple(parts)
+    width = max((w for _, w, _ in parts), default=-1)
+    order = tuple(vs[u] for vs, (_, _, local) in zip(groups, parts)
+                  for u in local)
+    return width, order, parts
+
+
 def treewidth_exact(graph, limit=None):
     """Exact treewidth of a loop-free graph and its witness, an optimal
     elimination order: ``(width, order)``. Eliminating the vertices in
     ``order``, with fill-in, leaves each at most ``width`` neighbours
-    later in the order. The loop-free and size checks run on every call;
-    the order itself is cached per graph."""
+    later in the order. The order runs through the connected components
+    one after another, each leaves first if it is a tree and by the
+    subset DP otherwise. The loop-free and size checks run on every call;
+    the order itself is cached per pattern (see ``_plan``)."""
     if not graph.is_loop_free():
         raise HomlatticeError("treewidth is defined here for loop-free graphs")
     ensure_pattern_size(graph.n, limit)
-    return _exact_order(graph)
+    return _plan(graph)[:2]
 
 
 def _vector_message(pattern, adj, v, scope, bucket):
@@ -281,23 +331,28 @@ def _eliminate(pattern, host, order, width):
 
 
 def hom_count(pattern, host, limit=None):
-    """Homomorphism count by elimination along each component's exact
-    treewidth order.
+    """Homomorphism count by elimination along each component's order in
+    the pattern's cached plan (see ``_plan``).
 
     Disconnected patterns factor into a product over their components;
     each component's count is memoised per host (see the module notes).
     """
     if not host.is_loop_free():
         raise HostError("host must be loop-free")
-    if pattern.n == 0:
+    if not pattern.is_loop_free():
+        raise HomlatticeError("pattern must be loop-free")
+    ensure_pattern_size(pattern.n, limit)
+    parts = _plan(pattern)[2]
+    if not parts:
         return 1
     counts = _memo.get(host)
     if counts is None:
         counts = LRUCache(_MEMO_TERMS)
         _memo.put(host, counts)
     total = 1
-    for comp in component_subgraphs(pattern):
-        width, order = treewidth_exact(comp, limit)
+    for comp, width, order in parts:
+        if comp is None:
+            comp = pattern
         count = counts.get(comp)
         if count is None:
             count = _eliminate(comp, host, order, width)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlattice import basis, graphs
+from homlattice import basis, errors, graphs
 from homlattice.basis import (
     LinearCombination,
     count_restricted,
@@ -15,7 +15,7 @@ from homlattice.basis import (
     serialize_expansion,
 )
 from homlattice.cache import LRUCache
-from homlattice.errors import HomlatticeError, HostError
+from homlattice.errors import HomlatticeError, HostError, PatternSizeError
 from homlattice.graphs import Graph, clique, cycle, path
 from homlattice.oracle import brute_hom, brute_restricted
 from homlattice.restrictions import (EMB, HOM, LI, locally_injective,
@@ -135,6 +135,30 @@ def test_evaluate_rejects_loopy_hosts():
     loopy = Graph(2, [(0, 0), (0, 1)], selfloops_allowed=True)
     with pytest.raises(HostError):
         evaluate(expand(LI, path(3)), loopy)
+
+
+def test_evaluate_resolves_the_limit_once(monkeypatch):
+    expansion = expand(LI, cycle(5))
+    assert len(expansion) > 2
+    host = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    resolve = errors.resolve_limit
+    asked = []
+
+    def recorded(limit=None):
+        asked.append(limit)
+        return resolve(limit)
+
+    monkeypatch.setattr(errors, "resolve_limit", recorded)
+    assert evaluate(expansion, host) == brute_restricted(LI, cycle(5), host)
+    assert asked.count(None) == 1  # one read of the environment
+    monkeypatch.setenv("HOMLATTICE_LIMIT", "4")
+    with pytest.raises(PatternSizeError):
+        evaluate(expansion, host)
+    monkeypatch.setenv("HOMLATTICE_LIMIT", "five")
+    with pytest.raises(HomlatticeError):
+        evaluate(expansion, host)
+    with pytest.raises(PatternSizeError):
+        evaluate(expansion, host, limit=4)
 
 
 def test_hom_to_embedding_on_two_isolated_vertices():

@@ -13,7 +13,7 @@ from homlattice.restrictions import EMB, LI, locally_injective
 from homlattice.treedp import hom_count, treewidth_exact
 from helpers import (TreeDecomposition, all_trees, decomposition_from_order,
                      graphs_up_to, make_nice, nice_dp_count, nonzero_entries,
-                     random_graph, random_host, reference_join,
+                     random_graph, random_host, random_tree, reference_join,
                      validate_decomposition)
 
 
@@ -271,3 +271,87 @@ def test_components_are_counted_once_per_host(monkeypatch):
     connected = cycle(5)  # counted as itself, not rebuilt
     assert hom_count(connected, host) == brute_hom(connected, host)
     assert eliminated[2] is connected
+
+
+def _later_neighbours(graph, order):
+    """Per vertex of the order, its neighbours later in the order, before
+    any fill-in."""
+    position = {v: i for i, v in enumerate(order)}
+    return [sum(position[u] > position[v] for u in graph.neighbors(v))
+            for v in order]
+
+
+def test_plan_orders_match_the_subset_dp(monkeypatch):
+    rng = random.Random(59)
+    # Random 7-vertex graphs at p = 0.15 are mostly disconnected; the
+    # forests are random trees with one or two edges at vertex 0 cut.
+    patterns = list(graphs_up_to(6))
+    patterns += [random_graph(rng, 7, p) for p in (0.15, 0.3, 0.5) * 6]
+    patterns += [random_tree(rng, 7) for _ in range(6)]
+    patterns += [Graph(7, random_tree(rng, 7).edges - {(0, 1), (0, 2)})
+                 for _ in range(3)]
+    hosts = [random_host(rng, 5, 7), random_host(rng, 6, 9)]
+    join = treedp._join
+    joined = []
+
+    def checked(*args):
+        table = join(*args)
+        assert nonzero_entries(table) == nonzero_entries(
+            reference_join(*args))
+        joined.append(args[0])
+        return table
+
+    monkeypatch.setattr(treedp, "_join", checked)
+    split = 0
+    for pattern in patterns:
+        perm = list(range(pattern.n))
+        rng.shuffle(perm)
+        graph = pattern.relabeled(perm)
+        width, order = treewidth_exact(graph)
+        assert width == treedp._exact_order(graph)[0]
+        td = decomposition_from_order(graph, order)
+        assert td.width == width  # the width under fill-in
+        _, _, parts = treedp._plan(graph)
+        split += graph.n == 7 and len(parts) > 1
+        for comp, comp_width, local in parts:
+            comp = graph if comp is None else comp
+            assert sorted(local) == list(range(comp.n))
+            assert comp_width == treedp._exact_order(comp)[0]
+            if comp.m == comp.n - 1:  # a tree: leaves first, root last
+                assert _later_neighbours(comp, local) == (
+                    [1] * (comp.n - 1) + [0])
+                degrees = [comp.degree(v) for v in range(comp.n)]
+                assert local[-1] == degrees.index(max(degrees))
+        for host in hosts:
+            treedp.hom_cache_clear()
+            assert hom_count(graph, host) == nice_dp_count(graph, host, td)
+    assert split >= 10
+    assert joined
+
+
+def test_warm_plans_still_check_limits_and_loops(monkeypatch):
+    host = random_host(random.Random(61), 8, 12)
+    pattern = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)])
+    count = hom_count(pattern, host)
+    hits = treedp._plan.cache_info().hits
+    assert hom_count(pattern, host) == count
+    assert treedp._plan.cache_info().hits == hits + 1
+    monkeypatch.setenv("HOMLATTICE_LIMIT", "6")
+    with pytest.raises(PatternSizeError):
+        hom_count(pattern, host)
+    with pytest.raises(PatternSizeError):
+        treewidth_exact(pattern)
+    monkeypatch.delenv("HOMLATTICE_LIMIT")
+    with pytest.raises(PatternSizeError):
+        hom_count(pattern, host, limit=6)
+    assert hom_count(pattern, host, limit=7) == count
+    # A plan planted for a loopy pattern must not answer for it.
+    loopy = Graph(3, [(0, 0), (0, 1), (1, 2)], selfloops_allowed=True)
+    treedp._plan(loopy)
+    with pytest.raises(HomlatticeError):
+        hom_count(loopy, host)
+    with pytest.raises(HomlatticeError):
+        treewidth_exact(loopy)
+    loopy_host = Graph(host.n, host.edges | {(0, 0)}, selfloops_allowed=True)
+    with pytest.raises(HostError):
+        hom_count(pattern, loopy_host)
