@@ -12,10 +12,12 @@ import argparse
 import os
 import sys
 
-from . import basis, oracle, permtree
+from . import basis
 from .errors import (
     BudgetError,
+    DEFAULT_PATTERN_LIMIT,
     HomlatticeError,
+    LIMIT_ENV_VAR,
     ParseError,
     PatternSizeError,
 )
@@ -134,6 +136,8 @@ def _cmd_count(args):
         value = basis.count_restricted(restriction, pattern, host,
                                        limit=args.limit)
     else:
+        from . import oracle
+
         value = oracle.brute_restricted(restriction, pattern, host)
     print(value)
     return 0
@@ -179,6 +183,8 @@ def _cmd_lincomb(args):
 
 
 def _cmd_perm_gadget(args):
+    from . import oracle, permtree
+
     matrix = permtree.parse_matrix(_read_file(args.matrix))
     check = permtree.verify_permanent_identity(matrix)
     verdict = "yes" if check.match else "no"
@@ -206,7 +212,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--limit", type=int, default=None,
                         help="override the pattern-size limit "
-                             "(default 12, env HOMLATTICE_LIMIT)")
+                             f"(default {DEFAULT_PATTERN_LIMIT}, "
+                             f"env {LIMIT_ENV_VAR})")
     parser = _Parser(prog="homlattice",
                      description="restricted homomorphism counting")
     sub = parser.add_subparsers(dest="command", required=True)

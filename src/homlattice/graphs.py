@@ -29,7 +29,7 @@ from .errors import PartitionError, ensure_pattern_size
 class Graph:
     """An undirected graph on vertices 0..n-1 with an immutable edge set."""
 
-    __slots__ = ("n", "edges", "selfloops_allowed", "_adj", "_loops")
+    __slots__ = ("n", "edges", "selfloops_allowed", "_adj", "_loops", "_hash")
 
     def __init__(self, n, edges=(), selfloops_allowed=False):
         n = int(n)
@@ -118,13 +118,24 @@ class Graph:
         return Graph(len(verts), edges, selfloops_allowed=self.selfloops_allowed)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n == other.n and self.edges == other.edges
                 and self.selfloops_allowed == other.selfloops_allowed)
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.selfloops_allowed))
+        # Computed on first use: most quotients are never hashed.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.n, self.edges, self.selfloops_allowed))
+            return self._hash
+
+    def __reduce__(self):
+        # A copy recomputes its hash in its own process.
+        return Graph, (self.n, self.edges, self.selfloops_allowed)
 
     def __repr__(self):
         flag = ", selfloops" if self.selfloops_allowed else ""

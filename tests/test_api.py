@@ -1,6 +1,7 @@
 """The public names of ``homlattice``, pinned so that any change to the
 API shows up in this file's diff."""
 
+import sys
 import types
 
 import homlattice
@@ -75,7 +76,20 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
+    """``dir`` also lists the names that load on first access."""
     names = sorted(
-        name for name, value in vars(homlattice).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType))
+        name for name in dir(homlattice)
+        if not name.startswith("_")
+        and not isinstance(getattr(homlattice, name), types.ModuleType))
     assert names == PUBLIC
+
+
+def test_public_names_are_the_defining_modules_objects():
+    namespace = {}
+    exec("from homlattice import *", namespace)
+    for name in PUBLIC:
+        value = getattr(homlattice, name)
+        assert namespace[name] is value
+        module = getattr(value, "__module__", "")
+        if module.startswith("homlattice."):
+            assert getattr(sys.modules[module], name) is value

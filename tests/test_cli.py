@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homlattice
 from homlattice.cli import main, parse_graph, parse_manifest, serialize_graph
 from homlattice.errors import ParseError
 from homlattice.graphs import Graph, clique, cycle, path, windmill
@@ -265,3 +266,42 @@ def test_import_leaves_heavy_modules_out(write, graph_file):
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n12/5\n"
+
+
+def test_oracle_and_gadget_load_on_first_use(write, graph_file):
+    p3 = graph_file("p3.g", path(3))
+    k3 = graph_file("k3.g", clique(3))
+    manifest = write("fifth.lc", "1/5 hom p3.g\n")
+    id5 = "\n".join(" ".join("1" if i == j else "0" for j in range(5))
+                    for i in range(5))
+    matrix = write("id5.mat", f"5\n{id5}\n")
+    graphs = ["--pattern", p3, "--host", k3]
+    runs = [["count", "--tau", "li"] + graphs,
+            ["expand", "--tau", "emb", "--pattern", p3],
+            ["minors", "--tau", "li", "--pattern", p3],
+            ["lincomb", "--manifest", manifest, "--host", k3],
+            ["count", "--tau", "li", "--method", "oracle"] + graphs,
+            ["perm-gadget", "--matrix", matrix]]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = (
+        f"import io, sys\nsys.path.insert(0, {src!r})\nimport homlattice\n"
+        "from homlattice.cli import main\n"
+        "def loaded():\n"
+        "    return sorted({'homlattice.oracle', 'homlattice.permtree'}"
+        " & set(sys.modules))\n"
+        "print('build_gadget' in dir(homlattice), loaded())\n"
+        f"for argv in {runs!r}:\n"
+        "    out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "    status = main(argv)\n"
+        "    sys.stdout = out\n"
+        "    print(argv[0], status, loaded())\n")
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    both = "['homlattice.oracle', 'homlattice.permtree']"
+    assert result.stdout.splitlines() == [
+        "True []", "count 0 []", "expand 0 []", "minors 0 []",
+        "lincomb 0 []", "count 0 ['homlattice.oracle']",
+        f"perm-gadget 0 {both}"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        homlattice.no_such_name

@@ -12,7 +12,7 @@ import pytest
 from homlattice.basis import (BasisExpansion, ExpansionTerm,
                               LinearCombination, expand)
 from homlattice.flats import Flat, FlatLattice, enumerate_flats
-from homlattice.graphs import VertexPartition, path
+from homlattice.graphs import VertexPartition, cycle, path
 from homlattice.permtree import (GadgetTree, PermanentCheck, build_gadget,
                                  identity_matrix)
 from homlattice.restrictions import (HOM, LI, Restriction,
@@ -49,6 +49,15 @@ def _samples():
 
 SAMPLES = _samples()
 IDS = [type(obj).__name__ for obj in SAMPLES]
+
+
+def _hashed(graph):
+    hash(graph)
+    return graph
+
+
+# Graph keeps its hash once computed; a copy must still hash equal to it.
+GRAPHS = [cycle(4), _hashed(cycle(4))]
 
 
 def _values(obj):
@@ -114,7 +123,8 @@ def test_fields_cannot_be_set_or_deleted(obj):
     assert obj == _samples()[IDS.index(type(obj).__name__)]
 
 
-@pytest.mark.parametrize("obj", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("obj", SAMPLES + GRAPHS,
+                         ids=IDS + ["Graph", "hashed-Graph"])
 def test_pickle_and_deepcopy_round_trip(obj):
     for other in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj),
                   copy.copy(obj)):
