@@ -53,7 +53,6 @@ from .restrictions import (
     locally_injective,
     max_minor_treewidth,
     parse_restriction,
-    restriction_minors,
     spider_contraction,
     windmill_contraction,
 )

@@ -22,7 +22,7 @@ from .errors import (
     PatternSizeError,
 )
 from .graphs import Graph
-from .restrictions import parse_restriction, restriction_minors
+from .restrictions import parse_restriction
 from .treedp import treewidth_exact
 
 
@@ -154,7 +154,7 @@ def _cmd_expand(args):
 def _cmd_minors(args):
     restriction = parse_restriction(args.tau)
     pattern = _load_graph(args.pattern)
-    minors = restriction_minors(restriction, pattern, limit=args.limit)
+    minors = basis.expand(restriction, pattern, limit=args.limit)
     widest = -1
     for term in minors.terms:
         width, _ = treewidth_exact(term.graph, limit=args.limit)

@@ -48,9 +48,6 @@ class FlatLattice(_Value):
                 for hi in self.flats))
         return self._leq
 
-    def bottom(self):
-        return self.flats[0]
-
     def __len__(self):
         return len(self.flats)
 

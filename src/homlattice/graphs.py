@@ -298,12 +298,6 @@ def connected_components(graph):
     return count, labels
 
 
-def _invariant_classes(graph):
-    """Per-vertex (loop, degree) invariants, compared before any search."""
-    loops = graph.loops()
-    return [(v in loops, graph.degree(v)) for v in range(graph.n)]
-
-
 def _canonical_search(graph):
     """Minimal adjacency bit string over all relabelings, a witness, and
     the order of the automorphism group.
@@ -440,9 +434,8 @@ def _group_quotients(graph, items, limit, bottom=None):
 
 
 def is_isomorphic(a, b, limit=None):
+    """Whether the graphs have equal canonical keys."""
     if a.n != b.n or a.m != b.m or len(a.loops()) != len(b.loops()):
-        return False
-    if sorted(_invariant_classes(a)) != sorted(_invariant_classes(b)):
         return False
     return canonical_form(a, limit) == canonical_form(b, limit)
 

@@ -1,17 +1,20 @@
 """Brute-force reference counters.
 
-Everything here enumerates exhaustively and shares nothing with the
-lattice or decomposition machinery beyond the Graph type, so the fast
-paths can be validated against it. Built-in restriction kinds are counted
-from their definitions (injectivity, neighborhood injectivity) rather
-than through constraint graphs. Enumerations refuse to start when the
-search space exceeds the budget.
+Everything here enumerates exhaustively, so the fast paths can be
+validated against it. It reuses only ``Graph``, ``quotient`` and
+``bfs_distances``, and ``apply_restriction`` for the constraint pairs of
+custom restrictions and of quotient counts; no flats, expansions or
+elimination orders. Built-in restriction kinds are counted from their
+definitions (injectivity, neighborhood injectivity) rather than through
+constraint graphs. Enumerations refuse to start when the search space
+exceeds the budget.
 """
 
 from itertools import combinations, permutations, product
 
 from .errors import BudgetError, HomlatticeError
 from .graphs import Graph, bfs_distances, quotient
+from .restrictions import apply_restriction
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -113,8 +116,6 @@ def brute_restricted(restriction, pattern, host, budget=DEFAULT_BUDGET):
         return _hom_search(pattern, host,
                            lambda v, g, image: True,
                            injective_on_zones)
-    from .restrictions import apply_restriction
-
     constraint = apply_restriction(restriction, pattern)
     pairs = sorted(constraint.edges)
 
@@ -167,8 +168,6 @@ def brute_restricted_quotient(restriction, pattern, flat, host,
     partition = getattr(flat, "partition", flat)
     q = quotient(pattern, partition)
     _check_budget(max(host.n, 1) ** q.n, budget)
-    from .restrictions import apply_restriction
-
     constraint = apply_restriction(restriction, pattern)
     block_of = partition.block_of
     sep_pairs = sorted({(block_of[u], block_of[v])

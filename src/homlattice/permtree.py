@@ -20,6 +20,7 @@ are counted through rooted shapes at the tree's center.
 
 from .errors import HomlatticeError, ParseError, TreeError
 from .graphs import Graph, _Value, connected_components
+from .oracle import _check_matrix, permanent_ryser
 
 
 def check_tree(graph):
@@ -86,15 +87,9 @@ class GadgetTree(_Value):
 
 def build_gadget(matrix):
     """Gadget tree of a square 0/1 matrix; any n >= 1 builds."""
-    n = len(matrix)
+    n = _check_matrix(matrix)
     if n == 0:
         raise HomlatticeError("matrix must be nonempty")
-    for row in matrix:
-        if len(row) != n:
-            raise HomlatticeError("matrix must be square")
-        for value in row:
-            if value not in (0, 1):
-                raise HomlatticeError("matrix entries must be 0 or 1")
     roles = []
     edges = []
 
@@ -124,17 +119,10 @@ def build_gadget(matrix):
     return GadgetTree(graph, tuple(roles), n)
 
 
-def _rooted_aut(tree, root, banned=None, interned=None):
-    """Automorphism count and AHU shape of the tree rooted at root, leaving
-    out the side of banned (a neighbour of root) when it is given.
-
-    Shapes are ids interned in ``interned``; calls that share the table
-    get comparable shapes.
-    """
-    if interned is None:
-        interned = {}
+def _rooted_aut(tree, root):
+    """Automorphism count of the tree rooted at root, from AHU shapes."""
     order = []
-    parent = {root: banned}
+    parent = {root: None}
     stack = [root]
     while stack:
         v = stack.pop()
@@ -143,6 +131,7 @@ def _rooted_aut(tree, root, banned=None, interned=None):
             if w != parent[v]:
                 parent[w] = v
                 stack.append(w)
+    interned = {}
     aut = {}
     shape = {}
     for v in reversed(order):
@@ -158,7 +147,7 @@ def _rooted_aut(tree, root, banned=None, interned=None):
         aut[v] = total
         shape[v] = interned.setdefault(tuple(sorted(by_shape.items())),
                                        len(interned))
-    return aut[root], shape[root]
+    return aut[root]
 
 
 def tree_center(tree):
@@ -187,21 +176,19 @@ def tree_center(tree):
 def tree_automorphism_count(tree):
     """Exact automorphism count of a tree of any size.
 
-    Automorphisms preserve the center: with a single center vertex they
-    are the rooted automorphisms there; with a center edge they either
-    fix or swap its halves.
+    Automorphisms preserve the center, so they are the rooted
+    automorphisms there. A center edge is first subdivided by a new
+    vertex, which becomes the single center; the automorphisms that swap
+    the edge's halves are the rooted ones that swap its two branches.
     """
     check_tree(tree)
-    if tree.n == 1:
-        return 1
     center = tree_center(tree)
-    if len(center) == 1:
-        return _rooted_aut(tree, center[0])[0]
-    c1, c2 = center
-    interned = {}
-    aut1, shape1 = _rooted_aut(tree, c1, c2, interned)
-    aut2, shape2 = _rooted_aut(tree, c2, c1, interned)
-    return aut1 * aut2 * (2 if shape1 == shape2 else 1)
+    root = center[0]
+    if len(center) == 2:
+        root = tree.n
+        edges = [e for e in tree.edges if e != center]
+        tree = Graph(root + 1, edges + [(center[0], root), (root, center[1])])
+    return _rooted_aut(tree, root)
 
 
 def count_tree_embeddings(pattern, host):
@@ -289,8 +276,6 @@ def verify_permanent_identity(matrix):
     Below n = 5 the root degree no longer dominates the gadget's degree
     profile, so the identity is not claimed there.
     """
-    from .oracle import permanent_ryser
-
     n = len(matrix)
     if n < 5:
         raise HomlatticeError("permanent identity requires n >= 5")

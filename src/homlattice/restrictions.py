@@ -16,7 +16,7 @@ Custom restrictions supply their own builder and are validated for vertex
 preservation and loop-freeness.
 
 The contraction minors of a restriction are the terms of the pattern's
-signed expansion: every condensed coefficient is nonzero, so no class of
+signed expansion, ``basis.expand``: every condensed coefficient is nonzero, so no class of
 loop-free quotients drops out of it.
 """
 
@@ -24,6 +24,7 @@ from .errors import HomlatticeError, ParseError
 from .flats import blocks_connected
 from .graphs import (Graph, VertexPartition, _Value, bfs_distances, quotient,
                      spider, spider_parts, windmill, windmill_parts)
+from .treedp import treewidth_exact
 
 
 class Restriction(_Value):
@@ -122,18 +123,9 @@ def apply_restriction(restriction, pattern):
     return out
 
 
-def restriction_minors(restriction, pattern, limit=None):
-    """Loop-free quotients of the pattern along constraint-graph flats,
-    one term per isomorphism class: the pattern's ``BasisExpansion``."""
-    from .basis import expand
-
-    return expand(restriction, pattern, limit)
-
-
 def max_minor_treewidth(minors, limit=None):
-    """Largest exact treewidth over the minor representatives."""
-    from .treedp import treewidth_exact
-
+    """Largest exact treewidth over the minor representatives, the terms
+    of ``basis.expand``."""
     best = -1
     for term in minors.terms:
         width, _ = treewidth_exact(term.graph, limit)

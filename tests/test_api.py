@@ -1,8 +1,10 @@
 """The public names of ``homlattice``, pinned so that any change to the
 API shows up in this file's diff."""
 
+import ast
 import sys
 import types
+from pathlib import Path
 
 import homlattice
 
@@ -62,7 +64,6 @@ PUBLIC = [
     "permanent_ryser",
     "quotient",
     "resolve_limit",
-    "restriction_minors",
     "serialize_expansion",
     "spider",
     "spider_contraction",
@@ -93,3 +94,32 @@ def test_public_names_are_the_defining_modules_objects():
         module = getattr(value, "__module__", "")
         if module.startswith("homlattice."):
             assert getattr(sys.modules[module], name) is value
+
+
+def test_sibling_imports_inside_functions_are_the_lazy_loads():
+    """A package module imported inside a function body hides a dependency
+    (or an import cycle) from the module header. The only such imports are
+    the deliberate lazy loads of the oracle and the permanent gadget."""
+    found = set()
+    for source in Path(homlattice.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    names = ([node.module] if node.module
+                             else [alias.name for alias in node.names])
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    if node.level == 0:
+                        if not name.startswith("homlattice."):
+                            continue
+                        name = name[len("homlattice."):]
+                    found.add((source.stem, name.split(".")[0]))
+    assert found == {("__init__", "oracle"), ("__init__", "permtree"),
+                     ("cli", "oracle"), ("cli", "permtree")}

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import homlattice
 from homlattice.cli import main, parse_graph, parse_manifest, serialize_graph
 from homlattice.errors import ParseError
+from homlattice.basis import expand
 from homlattice.graphs import Graph, clique, cycle, path, windmill
-from homlattice.restrictions import (LI, max_minor_treewidth,
-                                     restriction_minors)
+from homlattice.restrictions import LI, max_minor_treewidth
 
 
 @pytest.fixture
@@ -116,7 +116,7 @@ def test_minors_on_the_empty_pattern(capsys, write):
     empty = write("empty.g", "p edge 0 0\n")
     assert main(["minors", "--tau", "li", "--pattern", empty]) == 0
     assert capsys.readouterr().out == "0\t-1\t\nmax-treewidth: -1\n"
-    minors = restriction_minors(LI, Graph(0))
+    minors = expand(LI, Graph(0))
     assert max_minor_treewidth(minors) == -1
 
 

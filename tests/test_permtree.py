@@ -65,6 +65,26 @@ def test_automorphisms_match_generic_counter():
         assert tree_automorphism_count(tree) == count_automorphisms(tree)
 
 
+def test_automorphisms_match_self_embeddings():
+    """Aut(T) = Emb(T, T) on trees past the generic counter's 12-vertex
+    limit: random trees, bicentral trees (even paths and double stars with
+    equal and unequal arms) and the identity gadgets for n = 5 and 6."""
+    rng = random.Random(47)
+    trees = [random_tree(rng, rng.randrange(13, 61)) for _ in range(30)]
+    trees += [path(k) for k in (2, 4, 14, 40)]
+    for left, right in ((1, 1), (4, 4), (6, 6), (2, 5), (1, 7)):
+        trees.append(Graph(left + right + 2, [(0, 1)]
+                           + [(0, 2 + i) for i in range(left)]
+                           + [(1, 2 + left + i) for i in range(right)]))
+    trees += [build_gadget(identity_matrix(n)).graph for n in (5, 6)]
+    assert {len(tree_center(tree)) for tree in trees} == {1, 2}
+    for tree in trees:
+        assert tree_automorphism_count(tree) == count_tree_embeddings(tree,
+                                                                      tree)
+    assert tree_automorphism_count(trees[-2]) == 6 ** 5
+    assert tree_automorphism_count(trees[-1]) == 6 ** 6
+
+
 def test_embeddings_match_oracle():
     rng = random.Random(43)
     for _ in range(60):
