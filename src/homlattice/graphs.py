@@ -434,7 +434,6 @@ def _group_quotients(graph, items, limit, bottom=None):
 
 
 def is_isomorphic(a, b, limit=None):
-    """Whether the graphs have equal canonical keys."""
     if a.n != b.n or a.m != b.m or len(a.loops()) != len(b.loops()):
         return False
     return canonical_form(a, limit) == canonical_form(b, limit)

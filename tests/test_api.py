@@ -100,26 +100,27 @@ def test_sibling_imports_inside_functions_are_the_lazy_loads():
     """A package module imported inside a function body hides a dependency
     (or an import cycle) from the module header. The only such imports are
     the deliberate lazy loads of the oracle and the permanent gadget."""
+    sources = list(Path(homlattice.__file__).parent.glob("*.py"))
+    siblings = {source.stem for source in sources}
     found = set()
-    for source in Path(homlattice.__file__).parent.glob("*.py"):
+    for source in sources:
         for func in ast.walk(ast.parse(source.read_text())):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
-                if isinstance(node, ast.ImportFrom) and node.level == 1:
-                    names = ([node.module] if node.module
-                             else [alias.name for alias in node.names])
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [node.module]
-                elif isinstance(node, ast.Import):
+                if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    module = ".".join(filter(None, (
+                        "homlattice" if node.level else "", node.module)))
+                    names = [module] + [f"{module}.{alias.name}"
+                                        for alias in node.names]
                 else:
                     continue
                 for name in names:
-                    if node.level == 0:
-                        if not name.startswith("homlattice."):
-                            continue
-                        name = name[len("homlattice."):]
-                    found.add((source.stem, name.split(".")[0]))
+                    parts = name.split(".")
+                    if (parts[0] == "homlattice" and len(parts) > 1
+                            and parts[1] in siblings):
+                        found.add((source.stem, parts[1]))
     assert found == {("__init__", "oracle"), ("__init__", "permtree"),
                      ("cli", "oracle"), ("cli", "permtree")}

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homlattice
+from homlattice.basis import expand
 from homlattice.cli import main, parse_graph, parse_manifest, serialize_graph
 from homlattice.errors import ParseError
-from homlattice.basis import expand
 from homlattice.graphs import Graph, clique, cycle, path, windmill
 from homlattice.restrictions import LI, max_minor_treewidth
 
