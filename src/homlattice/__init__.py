@@ -22,7 +22,6 @@ from .errors import (
     PartitionError,
     PatternSizeError,
     TreeError,
-    resolve_limit,
 )
 from .flats import FlatLattice, Flat, enumerate_flats
 from .graphs import (

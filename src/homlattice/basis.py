@@ -29,8 +29,7 @@ relabelling needs one. ``expansion_cache_info`` and
 from .cache import LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .flats import enumerate_flats
-from .graphs import (_Value, _group_quotients, _labelled_key,
-                     canonical_representative)
+from .graphs import _Value, _canonical, quotient
 from .restrictions import EMB, apply_restriction
 from .treedp import hom_count
 
@@ -98,6 +97,34 @@ def expansion_cache_clear():
     _expansion_cache.clear()
 
 
+def _group_quotients(pattern, items, bottom):
+    """Loop-free quotients of the pattern grouped by isomorphism class.
+
+    ``items`` yields (partition, value) pairs, and ``bottom`` is the
+    pattern's own (canonical key, representative), which serves the
+    all-singletons partition. Returns a dict from each canonical key to
+    [canonical representative, sum of the values of the partitions whose
+    quotient falls in the class], in first-seen order. Quotients with a
+    selfloop are dropped; each other one takes one canonical search. No
+    quotient is larger than the pattern, whose size the caller checked.
+    """
+    groups = {}
+    for partition, value in items:
+        if partition.num_blocks() == pattern.n:
+            key, rep = bottom
+        else:
+            q = quotient(pattern, partition)
+            if not q.is_loop_free():
+                continue
+            key, rep = _canonical(q)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [rep, value]
+        else:
+            group[1] += value
+    return groups
+
+
 def expand(restriction, pattern, limit=None):
     """Signed minor expansion of the restricted count for this pattern.
 
@@ -109,15 +136,14 @@ def expand(restriction, pattern, limit=None):
         raise HomlatticeError("pattern must be loop-free")
     ensure_pattern_size(pattern.n, limit)
     token = restriction.token()
-    bottom = None
+    labelled = (pattern, token)
     if token is not None:
-        labelled = (pattern, token)
         hit = _expansion_cache.get(labelled)
         if hit is not None:
             return BasisExpansion(pattern, restriction, hit)
-        rep = canonical_representative(pattern, limit)
-        bottom = (_labelled_key(rep), rep)
-        class_key = (bottom[0], token)
+    bottom = _canonical(pattern)
+    class_key = (bottom[0], token)
+    if token is not None:
         hit = _expansion_cache.get(class_key)
         if hit is not None:
             _expansion_cache.put(labelled, hit)
@@ -126,7 +152,7 @@ def expand(restriction, pattern, limit=None):
     lattice = enumerate_flats(constraint, limit)
     groups = _group_quotients(
         pattern, zip((flat.partition for flat in lattice.flats),
-                     lattice.mobius), limit, bottom)
+                     lattice.mobius), bottom)
     terms = []
     for key, (rep, coeff) in groups.items():
         if coeff == 0:
@@ -150,9 +176,6 @@ def evaluate(expansion, host, limit=None):
     """Value of the expansion on a loop-free host graph."""
     if not host.is_loop_free():
         raise HostError("host graph must be loop-free")
-    if expansion.terms:
-        limit = ensure_pattern_size(
-            max(term.graph.n for term in expansion.terms), limit)
     total = 0
     for term in expansion.terms:
         total += term.coefficient * hom_count(term.graph, host, limit)
@@ -200,7 +223,8 @@ def hom_to_embedding_basis(pattern, limit=None):
         raise HomlatticeError("pattern must be loop-free")
     lattice = enumerate_flats(apply_restriction(EMB, pattern), limit)
     groups = _group_quotients(
-        pattern, ((flat.partition, 1) for flat in lattice.flats), limit)
+        pattern, ((flat.partition, 1) for flat in lattice.flats),
+        _canonical(pattern))
     classes = sorted(groups.items(), key=lambda kv: (-kv[1][0].n, kv[0]))
     return LinearCombination.build(
         [(count, EMB, rep) for _, (rep, count) in classes])

@@ -17,7 +17,6 @@ from .errors import (
     BudgetError,
     DEFAULT_PATTERN_LIMIT,
     HomlatticeError,
-    LIMIT_ENV_VAR,
     ParseError,
     PatternSizeError,
 )
@@ -202,20 +201,13 @@ def _cmd_perm_gadget(args):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--limit", type=int, default=None,
                         help="override the pattern-size limit "
-                             f"(default {DEFAULT_PATTERN_LIMIT}, "
-                             f"env {LIMIT_ENV_VAR})")
-    parser = _Parser(prog="homlattice",
-                     description="restricted homomorphism counting")
+                             f"(default {DEFAULT_PATTERN_LIMIT})")
+    parser = argparse.ArgumentParser(
+        prog="homlattice", description="restricted homomorphism counting")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[common],
@@ -259,7 +251,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse exits 2 on a usage error
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

@@ -1,9 +1,6 @@
 """Exception types and the global pattern-size limit."""
 
-import os
-
 DEFAULT_PATTERN_LIMIT = 12
-LIMIT_ENV_VAR = "HOMLATTICE_LIMIT"
 
 
 class HomlatticeError(Exception):
@@ -34,27 +31,11 @@ class TreeError(HomlatticeError):
     """A graph required to be a tree is not one."""
 
 
-def resolve_limit(limit=None):
-    """Return the effective pattern-size limit.
-
-    Explicit argument wins, then the environment variable, then the default.
-    """
-    if limit is not None:
-        return int(limit)
-    env = os.environ.get(LIMIT_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise HomlatticeError(
-                f"{LIMIT_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_PATTERN_LIMIT
-
-
 def ensure_pattern_size(n, limit=None):
-    """Raise PatternSizeError when n vertices exceed the effective limit."""
-    eff = resolve_limit(limit)
-    if n > eff:
+    """Raise PatternSizeError when n vertices exceed the limit, which is
+    the caller's or else ``DEFAULT_PATTERN_LIMIT``."""
+    if limit is None:
+        limit = DEFAULT_PATTERN_LIMIT
+    if n > limit:
         raise PatternSizeError(
-            f"pattern on {n} vertices exceeds the enumeration limit {eff}")
-    return eff
+            f"pattern on {n} vertices exceeds the enumeration limit {limit}")

@@ -273,12 +273,6 @@ def bfs_distances(graph, source):
     return dist
 
 
-def distance(graph, u, v):
-    if not (0 <= v < graph.n):
-        raise ValueError(f"vertex {v} out of range")
-    return bfs_distances(graph, u)[v]
-
-
 def connected_components(graph):
     """Number of components and a per-vertex component labeling."""
     labels = [-1] * graph.n
@@ -380,57 +374,21 @@ def canonical_form(graph, limit=None):
     return key
 
 
-def canonical_representative(graph, limit=None):
-    """Relabeling of the graph realizing its canonical key."""
-    ensure_pattern_size(graph.n, limit)
-    _, perm, _ = _canonical_search(graph)
+def _canonical(graph):
+    """Canonical key and the relabeling of the graph realizing it, from
+    one canonical search."""
+    key, perm, _ = _canonical_search(graph)
     relabel = [0] * graph.n
     for pos, old in enumerate(perm):
         relabel[old] = pos
     edges = [(relabel[u], relabel[v]) for u, v in graph.edges]
-    return Graph(graph.n, edges, selfloops_allowed=bool(graph.loops()))
+    return key, Graph(graph.n, edges, selfloops_allowed=bool(graph.loops()))
 
 
-def _labelled_key(graph):
-    """Key of the graph's own labelling, built chunk by chunk as in
-    ``_canonical_search``; for a canonical representative it is the
-    canonical key, so no second search is needed."""
-    masks, loop_mask = graph.adjacency_masks()
-    chunks = []
-    for v in range(graph.n):
-        chunk = (loop_mask >> v) & 1
-        for u in range(v):
-            chunk = (chunk << 1) | ((masks[v] >> u) & 1)
-        chunks.append(chunk)
-    return (graph.n,) + tuple(chunks)
-
-
-def _group_quotients(graph, items, limit, bottom=None):
-    """Loop-free quotients of the graph grouped by isomorphism class.
-
-    ``items`` yields (partition, value) pairs. Returns a dict from each
-    canonical key to [canonical representative, sum of the values of the
-    partitions whose quotient falls in the class], in first-seen order.
-    Quotients with a selfloop are dropped; each other one takes one
-    canonical search, except that a given ``bottom`` (key, representative)
-    pair of the graph itself serves the all-singletons partition.
-    """
-    groups = {}
-    for partition, value in items:
-        if bottom is not None and partition.num_blocks() == graph.n:
-            key, rep = bottom
-        else:
-            q = quotient(graph, partition)
-            if not q.is_loop_free():
-                continue
-            rep = canonical_representative(q, limit)
-            key = _labelled_key(rep)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [rep, value]
-        else:
-            group[1] += value
-    return groups
+def canonical_representative(graph, limit=None):
+    """Relabeling of the graph realizing its canonical key."""
+    ensure_pattern_size(graph.n, limit)
+    return _canonical(graph)[1]
 
 
 def is_isomorphic(a, b, limit=None):

@@ -203,10 +203,8 @@ def count_tree_embeddings(pattern, host):
     children = {}
     parent = {root: None}
     stack = [root]
-    order = []
     while stack:
         v = stack.pop()
-        order.append(v)
         kids = [w for w in pattern.neighbors(v) if w != parent[v]]
         children[v] = kids
         for w in kids:
@@ -215,38 +213,50 @@ def count_tree_embeddings(pattern, host):
     memo = {}
 
     def maps_below(v, target, avoid):
-        """Maps of v's subtree with v at target, children avoiding avoid."""
-        state = (v, target, avoid)
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
+        """Maps of v's subtree with v at target, children avoiding avoid.
+
+        Yields each child state not yet in the memo and is sent its count,
+        so deep patterns are evaluated from an explicit stack.
+        """
         kids = children[v]
-        if not kids:
-            memo[state] = 1
-            return 1
         targets = [t for t in host.neighbors(target) if t != avoid]
         if len(targets) < len(kids):
-            memo[state] = 0
             return 0
         ways = {0: 1}
         for kid in kids:
+            leaf = not children[kid]
             grown = {}
             for mask, weight in ways.items():
                 for idx, t in enumerate(targets):
                     if mask >> idx & 1:
                         continue
-                    sub = maps_below(kid, t, target)
+                    sub = 1 if leaf else memo.get((kid, t, target))
+                    if sub is None:
+                        sub = yield kid, t, target
                     if sub:
                         new = mask | 1 << idx
                         grown[new] = grown.get(new, 0) + weight * sub
             ways = grown
             if not ways:
                 break
-        result = sum(ways.values())
-        memo[state] = result
-        return result
+        return sum(ways.values())
 
-    return sum(maps_below(root, t, None) for t in range(host.n))
+    total = 0
+    for t in range(host.n):
+        stack = [((root, t, None), maps_below(root, t, None))]
+        value = None
+        while stack:
+            state, frame = stack[-1]
+            try:
+                child = frame.send(value)
+            except StopIteration as done:
+                value = memo[state] = done.value
+                stack.pop()
+            else:
+                stack.append((child, maps_below(*child)))
+                value = None
+        total += value
+    return total
 
 
 def count_subtrees(pattern, host):

@@ -63,7 +63,6 @@ PUBLIC = [
     "permanent_direct",
     "permanent_ryser",
     "quotient",
-    "resolve_limit",
     "serialize_expansion",
     "spider",
     "spider_contraction",
@@ -124,3 +123,19 @@ def test_sibling_imports_inside_functions_are_the_lazy_loads():
                         found.add((source.stem, parts[1]))
     assert found == {("__init__", "oracle"), ("__init__", "permtree"),
                      ("cli", "oracle"), ("cli", "permtree")}
+
+
+def test_no_module_reads_the_environment():
+    """Limits and every other setting come from the caller's arguments,
+    so no package module reads ``os.environ``, ``os.environb`` or
+    ``os.getenv``, under any import alias."""
+    readers = {"environ", "environb", "getenv"}
+    found = []
+    for source in Path(homlattice.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                found.append((source.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(source.stem, alias.name) for alias in node.names
+                          if alias.name in readers]
+    assert found == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlattice import basis, errors, graphs
+from homlattice import basis, graphs
 from homlattice.basis import (
     LinearCombination,
     count_restricted,
@@ -137,28 +137,21 @@ def test_evaluate_rejects_loopy_hosts():
         evaluate(expand(LI, path(3)), loopy)
 
 
-def test_evaluate_resolves_the_limit_once(monkeypatch):
+def test_evaluate_takes_the_limit_from_the_caller(monkeypatch):
     expansion = expand(LI, cycle(5))
     assert len(expansion) > 2
     host = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-    resolve = errors.resolve_limit
-    asked = []
-
-    def recorded(limit=None):
-        asked.append(limit)
-        return resolve(limit)
-
-    monkeypatch.setattr(errors, "resolve_limit", recorded)
-    assert evaluate(expansion, host) == brute_restricted(LI, cycle(5), host)
-    assert asked.count(None) == 1  # one read of the environment
-    monkeypatch.setenv("HOMLATTICE_LIMIT", "4")
-    with pytest.raises(PatternSizeError):
-        evaluate(expansion, host)
-    monkeypatch.setenv("HOMLATTICE_LIMIT", "five")
-    with pytest.raises(HomlatticeError):
-        evaluate(expansion, host)
+    value = brute_restricted(LI, cycle(5), host)
+    # The limit comes from the caller alone; HOMLATTICE_LIMIT is not read.
+    for setting in ("4", "five"):
+        monkeypatch.setenv("HOMLATTICE_LIMIT", setting)
+        assert evaluate(expansion, host) == value
+        assert count_restricted(LI, cycle(5), host) == value
     with pytest.raises(PatternSizeError):
         evaluate(expansion, host, limit=4)
+    with pytest.raises(PatternSizeError):
+        count_restricted(LI, cycle(5), host, limit=4)
+    assert evaluate(expansion, host, limit=5) == value
 
 
 def test_hom_to_embedding_on_two_isolated_vertices():

@@ -217,14 +217,20 @@ def test_exit_codes(capsys, write, graph_file):
 
 
 def test_limit_env_variable(capsys, graph_file, monkeypatch):
+    """The limit comes from ``--limit`` alone; HOMLATTICE_LIMIT is not
+    read."""
     p7 = graph_file("p7.g", path(7))
     monkeypatch.setenv("HOMLATTICE_LIMIT", "5")
-    assert main(["expand", "--tau", "li", "--pattern", p7]) == 3
+    assert main(["expand", "--tau", "li", "--pattern", p7]) == 0
     capsys.readouterr()
     assert main(["expand", "--tau", "li", "--pattern", p7,
-                 "--limit", "12"]) == 0
+                 "--limit", "5"]) == 3
     capsys.readouterr()
     monkeypatch.setenv("HOMLATTICE_LIMIT", "12")
+    assert main(["count", "--tau", "hom", "--pattern", p7, "--host", p7,
+                 "--limit", "6"]) == 3
+    capsys.readouterr()
+    monkeypatch.setenv("HOMLATTICE_LIMIT", "five")
     assert main(["expand", "--tau", "li", "--pattern", p7]) == 0
     capsys.readouterr()
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from homlattice.graphs import (
     Graph,
     VertexPartition,
+    _canonical,
     _canonical_search,
-    _labelled_key,
     biclique,
     bfs_distances,
     canonical_form,
@@ -18,7 +18,6 @@ from homlattice.graphs import (
     connected_components,
     count_automorphisms,
     cycle,
-    distance,
     edgeless,
     generate,
     is_isomorphic,
@@ -95,10 +94,10 @@ def test_automorphism_counts():
 
 def test_distances():
     g = path(4)
-    assert distance(g, 0, 3) == 3
+    assert bfs_distances(g, 0)[3] == 3
     assert bfs_distances(g, 0)[2] == 2
     h = Graph(3, [(0, 1)])
-    assert distance(h, 0, 2) == float("inf")
+    assert bfs_distances(h, 0)[2] == float("inf")
     count, labels = connected_components(h)
     assert count == 2
     assert labels[0] == labels[1] != labels[2]
@@ -155,12 +154,13 @@ def test_is_isomorphic_accepts_relabelings(g, rnd):
 @settings(max_examples=100, deadline=None)
 @given(graph_strategy)
 def test_representative_spells_out_its_key(g):
-    """Quotient grouping reads each class key off the canonical
-    representative instead of searching a second time."""
+    """The key is the representative's own adjacency, so the
+    representative is its own canonical relabeling."""
     pairs = VertexPartition.from_labels([v // 2 for v in range(g.n)])
     for h in (g, quotient(g, pairs)):
-        rep = canonical_representative(h)
-        assert _labelled_key(rep) == canonical_form(h)
+        key, rep = _canonical(h)
+        assert (key, rep) == (canonical_form(h), canonical_representative(h))
+        assert _canonical(rep) == (key, rep)
         assert rep.loops() or not rep.selfloops_allowed
 
 
@@ -248,8 +248,9 @@ def test_symmetric_patterns_at_the_limit_canonicalise():
     assert canonical_representative(clique(12)) == clique(12)
     for g in (clique(12), star(11), biclique(6)):
         key, perm, _ = _canonical_search(g)
-        assert canonical_form(g) == key == _labelled_key(
-            canonical_representative(g))
+        rep = canonical_representative(g)
+        assert canonical_form(g) == key
+        assert _canonical(rep) == (key, rep)
         assert sorted(perm) == list(range(g.n))
 
 
@@ -263,4 +264,4 @@ def test_distance_symmetry_random():
     for _ in range(30):
         g = random_graph(rng, rng.randrange(2, 7), 0.4)
         u, v = rng.randrange(g.n), rng.randrange(g.n)
-        assert distance(g, u, v) == distance(g, v, u)
+        assert bfs_distances(g, u)[v] == bfs_distances(g, v)[u]

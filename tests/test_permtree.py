@@ -77,11 +77,17 @@ def test_automorphisms_match_self_embeddings():
                            + [(0, 2 + i) for i in range(left)]
                            + [(1, 2 + left + i) for i in range(right)]))
     trees += [build_gadget(identity_matrix(n)).graph for n in (5, 6)]
+    # A broom: five leaves and a 1,200-vertex handle at vertex 0, deeper
+    # than the interpreter's recursion limit.
+    broom = Graph(1206, [(0, v) for v in range(1, 7)]
+                  + [(v, v + 1) for v in range(6, 1205)])
+    trees.append(broom)
     assert {len(tree_center(tree)) for tree in trees} == {1, 2}
     for tree in trees:
         assert tree_automorphism_count(tree) == count_tree_embeddings(tree,
                                                                       tree)
-    assert tree_automorphism_count(trees[-1]) == 6 ** 6
+    assert tree_automorphism_count(trees[-2]) == 6 ** 6
+    assert tree_automorphism_count(broom) == 120
 
 
 def test_embeddings_match_oracle():

@@ -336,14 +336,13 @@ def test_warm_plans_still_check_limits_and_loops(monkeypatch):
     hits = treedp._plan.cache_info().hits
     assert hom_count(pattern, host) == count
     assert treedp._plan.cache_info().hits == hits + 1
-    monkeypatch.setenv("HOMLATTICE_LIMIT", "6")
-    with pytest.raises(PatternSizeError):
-        hom_count(pattern, host)
-    with pytest.raises(PatternSizeError):
-        treewidth_exact(pattern)
-    monkeypatch.delenv("HOMLATTICE_LIMIT")
+    monkeypatch.setenv("HOMLATTICE_LIMIT", "6")  # not read: limit= only
+    assert hom_count(pattern, host) == count
+    assert treewidth_exact(pattern) == treewidth_exact(pattern, limit=7)
     with pytest.raises(PatternSizeError):
         hom_count(pattern, host, limit=6)
+    with pytest.raises(PatternSizeError):
+        treewidth_exact(pattern, limit=6)
     assert hom_count(pattern, host, limit=7) == count
     # A plan planted for a loopy pattern must not answer for it.
     loopy = Graph(3, [(0, 0), (0, 1), (1, 2)], selfloops_allowed=True)
