@@ -105,8 +105,9 @@ def _group_quotients(pattern, items, bottom):
     all-singletons partition. Returns a dict from each canonical key to
     [canonical representative, sum of the values of the partitions whose
     quotient falls in the class], in first-seen order. Quotients with a
-    selfloop are dropped; each other one takes one canonical search. No
-    quotient is larger than the pattern, whose size the caller checked.
+    selfloop are dropped; each other one takes one canonical search, and
+    only the first of each class builds a representative. No quotient is
+    larger than the pattern, whose size the caller checked.
     """
     groups = {}
     for partition, value in items:
@@ -116,7 +117,7 @@ def _group_quotients(pattern, items, bottom):
             q = quotient(pattern, partition)
             if not q.is_loop_free():
                 continue
-            key, rep = _canonical(q)
+            key, rep = _canonical(q, groups)
         group = groups.get(key)
         if group is None:
             groups[key] = [rep, value]

@@ -21,7 +21,7 @@ from .errors import (
     PatternSizeError,
 )
 from .graphs import Graph
-from .restrictions import parse_restriction
+from .restrictions import max_minor_treewidth, parse_restriction
 from .treedp import treewidth_exact
 
 
@@ -154,14 +154,12 @@ def _cmd_minors(args):
     restriction = parse_restriction(args.tau)
     pattern = _load_graph(args.pattern)
     minors = basis.expand(restriction, pattern, limit=args.limit)
-    widest = -1
     for term in minors.terms:
         width, _ = treewidth_exact(term.graph, limit=args.limit)
-        widest = max(widest, width)
         edges = ";".join(f"{u + 1}-{v + 1}"
                          for u, v in term.graph.edge_list())
         print(f"{term.graph.n}\t{width}\t{edges}")
-    print(f"max-treewidth: {widest}")
+    print(f"max-treewidth: {max_minor_treewidth(minors, args.limit)}")
     return 0
 
 
@@ -238,7 +236,7 @@ def _build_parser():
     p.add_argument("--host", required=True)
     p.set_defaults(func=_cmd_lincomb)
 
-    p = sub.add_parser("perm-gadget", parents=[common],
+    p = sub.add_parser("perm-gadget",
                        help="verify the permanent/subtree identity")
     p.add_argument("--matrix", required=True, help="0/1 matrix file")
     p.add_argument("--check", action="store_true",

@@ -1,10 +1,10 @@
 """Graph values and the small-graph toolkit used across the package.
 
-Vertices are dense 0-based integers ``0..n-1``. Edges are unordered pairs
-stored sorted, with duplicates collapsed. Selfloops are representable only
-when a graph is constructed with ``selfloops_allowed=True``; quotients of
-loop-free graphs produce such graphs whenever an edge is contracted into a
-block.
+A graph is its vertex count and edge set: vertices are 0..n-1, edges are
+sorted pairs with duplicates collapsed. ``selfloops_allowed=True`` only
+lets the constructor accept selfloops and is not stored, so it changes no
+equality. Quotients of loop-free graphs carry a selfloop whenever an edge
+is contracted into a block.
 
 Canonical forms are exact: the key of a graph is the lexicographically
 minimal adjacency-matrix bit string over all vertex relabelings, with the
@@ -26,41 +26,69 @@ import math
 from .errors import PartitionError, ensure_pattern_size
 
 
-class Graph:
-    """An undirected graph on vertices 0..n-1 with an immutable edge set."""
+class _Value:
+    """Frozen value object. A subclass names its fields in ``_fields`` and
+    stores them in ``__init__`` with ``object.__setattr__``; equality,
+    hashing, repr and pickling go through the field tuple."""
 
-    __slots__ = ("n", "edges", "selfloops_allowed", "_adj", "_loops", "_hash")
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Graph(_Value):
+    """An undirected graph on vertices 0..n-1; its value is n and edges."""
+
+    __slots__ = ("n", "edges", "_adj", "_loops", "_hash")
+    _fields = ("n", "edges")
 
     def __init__(self, n, edges=(), selfloops_allowed=False):
         n = int(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         normalized = set()
-        for edge in edges:
-            u, v = edge
-            u = int(u)
-            v = int(v)
+        adj = [set() for _ in range(n)]
+        loops = set()
+        for u, v in edges:
+            u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 if not selfloops_allowed:
                     raise ValueError(f"selfloop at {u} in a loop-free graph")
                 normalized.add((u, u))
-            else:
-                normalized.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(normalized)
-        self.selfloops_allowed = bool(selfloops_allowed)
-        adj = [set() for _ in range(n)]
-        loops = set()
-        for u, v in normalized:
-            if u == v:
                 loops.add(u)
             else:
+                normalized.add((u, v) if u < v else (v, u))
                 adj[u].add(v)
                 adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._loops = frozenset(loops)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "_loops", frozenset(loops))
 
     @property
     def m(self):
@@ -105,7 +133,7 @@ class Graph:
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a bijection on the vertex set")
         edges = [(perm[u], perm[v]) for u, v in self.edges]
-        return Graph(self.n, edges, selfloops_allowed=self.selfloops_allowed)
+        return Graph(self.n, edges, selfloops_allowed=True)
 
     def induced(self, vertices):
         """Subgraph induced on the given vertices, relabeled to 0..k-1."""
@@ -115,64 +143,30 @@ class Graph:
         index = {v: i for i, v in enumerate(verts)}
         edges = [(index[u], index[v]) for u, v in self.edges
                  if u in index and v in index]
-        return Graph(len(verts), edges, selfloops_allowed=self.selfloops_allowed)
+        return Graph(len(verts), edges, selfloops_allowed=True)
 
     def __eq__(self, other):
+        # No field tuples: plans and the hom memo compare terms per query.
         if other is self:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n and self.edges == other.edges
-                and self.selfloops_allowed == other.selfloops_allowed)
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
         # Computed on first use: most quotients are never hashed.
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.n, self.edges, self.selfloops_allowed))
+            object.__setattr__(self, "_hash", hash((self.n, self.edges)))
             return self._hash
 
     def __reduce__(self):
-        # A copy recomputes its hash in its own process.
-        return Graph, (self.n, self.edges, self.selfloops_allowed)
+        # The flag readmits a quotient's selfloops; a copy rehashes itself.
+        return Graph, (self.n, self.edges, True)
 
     def __repr__(self):
-        flag = ", selfloops" if self.selfloops_allowed else ""
-        return f"Graph(n={self.n}, edges={self.edge_list()}{flag})"
-
-
-class _Value:
-    """Frozen value object. A subclass names its fields in ``_fields`` and
-    stores them in ``__init__`` with ``object.__setattr__``; equality,
-    hashing, repr and pickling go through the field tuple."""
-
-    __slots__ = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
+        return f"Graph(n={self.n}, edges={self.edge_list()})"
 
 
 class VertexPartition(_Value):
@@ -239,7 +233,7 @@ def quotient(graph, partition):
     """Contract each block of the partition to a single vertex.
 
     Parallel edges collapse; an edge inside a block becomes a selfloop on
-    the block's vertex. The result always permits selfloops.
+    the block's vertex.
     """
     if not isinstance(partition, VertexPartition):
         partition = VertexPartition.from_blocks(partition)
@@ -374,15 +368,17 @@ def canonical_form(graph, limit=None):
     return key
 
 
-def _canonical(graph):
+def _canonical(graph, seen=()):
     """Canonical key and the relabeling of the graph realizing it, from
-    one canonical search."""
+    one canonical search. The relabeling is None when the key is already
+    in ``seen``, whose representative the caller holds."""
     key, perm, _ = _canonical_search(graph)
+    if key in seen:
+        return key, None
     relabel = [0] * graph.n
     for pos, old in enumerate(perm):
         relabel[old] = pos
-    edges = [(relabel[u], relabel[v]) for u, v in graph.edges]
-    return key, Graph(graph.n, edges, selfloops_allowed=bool(graph.loops()))
+    return key, graph.relabeled(relabel)
 
 
 def canonical_representative(graph, limit=None):

@@ -20,6 +20,8 @@ signed expansion, ``basis.expand``: every condensed coefficient is nonzero, so n
 loop-free quotients drops out of it.
 """
 
+from itertools import combinations
+
 from .errors import HomlatticeError, ParseError
 from .flats import blocks_connected
 from .graphs import (Graph, VertexPartition, _Value, bfs_distances, quotient,
@@ -90,14 +92,12 @@ def parse_restriction(spec):
 
 
 def _radius_witness_edges(pattern, radius):
-    dist = [bfs_distances(pattern, v) for v in range(pattern.n)]
+    """Every pair of vertices at distance 1..radius from a common one."""
     edges = set()
-    for u in range(pattern.n):
-        for w in range(u + 1, pattern.n):
-            for v in range(pattern.n):
-                if 1 <= dist[v][u] <= radius and 1 <= dist[v][w] <= radius:
-                    edges.add((u, w))
-                    break
+    for v in range(pattern.n):
+        dist = bfs_distances(pattern, v)
+        sphere = [u for u in range(pattern.n) if 1 <= dist[u] <= radius]
+        edges.update(combinations(sphere, 2))
     return edges
 
 

@@ -102,6 +102,16 @@ def test_expand_searches_the_pattern_once(monkeypatch):
     assert len(searched) == before + 1
 
 
+def test_expand_builds_one_representative_per_term(monkeypatch):
+    relabeled = []
+    relabel = Graph.relabeled
+    monkeypatch.setattr(Graph, "relabeled",
+                        lambda g, perm: relabeled.append(g) or relabel(g, perm))
+    expansion = expand(locally_injective(2), cycle(6))
+    assert len(expansion) > 1
+    assert len(relabeled) == len(expansion)
+
+
 def test_expansion_cache_is_bounded(monkeypatch):
     info = basis.expansion_cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)

@@ -184,6 +184,10 @@ def test_perm_gadget_command(capsys, write):
     captured = capsys.readouterr()
     assert captured.out == "perm=1 subtrees=1 match=yes\n"
     assert "agree" in captured.err
+    # The gadget reads no pattern, so it takes no pattern-size limit.
+    assert main(["perm-gadget", "--matrix", matrix, "--limit", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--limit" in captured.err
 
 
 def test_perm_gadget_small_matrix_is_a_precondition_error(capsys, write):

@@ -29,6 +29,7 @@ from homlattice.graphs import (
     windmill,
     windmill_parts,
 )
+from homlattice.treedp import hom_count
 from helpers import (iso_classes, random_graph, reference_canonical_search,
                      reference_count_automorphisms)
 
@@ -161,14 +162,36 @@ def test_representative_spells_out_its_key(g):
         key, rep = _canonical(h)
         assert (key, rep) == (canonical_form(h), canonical_representative(h))
         assert _canonical(rep) == (key, rep)
-        assert rep.loops() or not rep.selfloops_allowed
+        assert _canonical(h, {key}) == (key, None)
 
 
 @settings(max_examples=100, deadline=None)
 @given(graph_strategy)
 def test_singleton_quotient_is_identity(g):
     q = quotient(g, VertexPartition.singletons(g.n))
-    assert q.n == g.n and set(q.edges) == set(g.edges)
+    assert q == g and hash(q) == hash(g)
+
+
+def test_the_loop_flag_is_not_part_of_the_value():
+    flagged = Graph(2, [(0, 1)], selfloops_allowed=True)
+    assert flagged == Graph(2, [(0, 1)])
+    assert hash(flagged) == hash(Graph(2, [(0, 1)]))
+    assert repr(flagged) == "Graph(n=2, edges=[(0, 1)])"
+    assert not hasattr(flagged, "selfloops_allowed")
+
+
+def test_fields_are_read_only():
+    g = path(3)
+    assert hom_count(g, clique(4)) == 36
+    for name in ("n", "edges", "_adj"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert g == path(3) and g.edge_list() == [(0, 1), (1, 2)]
+    assert hom_count(g, clique(4)) == 36
 
 
 def _atlas():

@@ -80,6 +80,24 @@ def test_li_equals_radius_one():
         assert apply_restriction(one, g) == common
 
 
+def test_li_radius_matches_networkx_shortest_paths():
+    """li:R joins u, w when some v has 1 <= d(v, u), d(v, w) <= R, with the
+    distances from networkx, on every graph with at most 6 vertices."""
+    import networkx as nx
+
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() <= 6]
+    assert len(atlas) == 209
+    for radius in (1, 2, 3):
+        for nxg in atlas:
+            dist = dict(nx.all_pairs_shortest_path_length(nxg, cutoff=radius))
+            near = [{u for u, d in dist[v].items() if d >= 1} for v in nxg]
+            expected = {(u, w) for u in nxg for w in nxg
+                        if u < w and any(u in s and w in s for s in near)}
+            g = Graph(nxg.number_of_nodes(), nxg.edges())
+            out = apply_restriction(locally_injective(radius), g)
+            assert out.edges == expected
+
+
 def test_li_radius_monotone():
     rng = random.Random(9)
     for _ in range(30):

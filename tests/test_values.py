@@ -12,7 +12,7 @@ import pytest
 from homlattice.basis import (BasisExpansion, ExpansionTerm,
                               LinearCombination, expand)
 from homlattice.flats import Flat, FlatLattice, enumerate_flats
-from homlattice.graphs import VertexPartition, cycle, path
+from homlattice.graphs import VertexPartition, cycle, path, quotient
 from homlattice.permtree import (GadgetTree, PermanentCheck, build_gadget,
                                  identity_matrix)
 from homlattice.restrictions import (HOM, LI, Restriction,
@@ -57,7 +57,9 @@ def _hashed(graph):
 
 
 # Graph keeps its hash once computed; a copy must still hash equal to it.
-GRAPHS = [cycle(4), _hashed(cycle(4))]
+# A quotient that contracts an edge carries a selfloop, which a copy keeps.
+GRAPHS = [cycle(4), _hashed(cycle(4)),
+          quotient(cycle(4), VertexPartition.from_blocks([{0, 1}, {2}, {3}]))]
 
 
 def _values(obj):
@@ -124,7 +126,7 @@ def test_fields_cannot_be_set_or_deleted(obj):
 
 
 @pytest.mark.parametrize("obj", SAMPLES + GRAPHS,
-                         ids=IDS + ["Graph", "hashed-Graph"])
+                         ids=IDS + ["Graph", "hashed-Graph", "loopy-Graph"])
 def test_pickle_and_deepcopy_round_trip(obj):
     for other in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj),
                   copy.copy(obj)):
