@@ -14,8 +14,8 @@ Evaluation counts each minor's homomorphisms by bucket elimination along
 its exact-treewidth order, so the cost per term is |V(G)|^(width+1);
 building an expansion enumerates the constraint graph's flats, which is
 bounded by the Bell number of the pattern size. The pattern itself takes
-one canonical search, which gives both the cache key and the
-representative of its own class.
+one canonical search, which gives the cache key and, on a cache miss
+only, the representative of its own class.
 
 Expansions under built-in restrictions are cached in one least recently
 used cache of at most ``_EXPANSION_CACHE_SIZE`` entries. Each expansion
@@ -26,10 +26,11 @@ relabelling needs one. ``expansion_cache_info`` and
 ``expansion_cache_clear`` report on and empty the cache.
 """
 
+from . import graphs
 from .cache import LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .flats import enumerate_flats
-from .graphs import _Value, _canonical, quotient
+from .graphs import _Value, _canonical, _placed, quotient
 from .restrictions import EMB, apply_restriction
 from .treedp import hom_count
 
@@ -142,8 +143,9 @@ def expand(restriction, pattern, limit=None):
         hit = _expansion_cache.get(labelled)
         if hit is not None:
             return BasisExpansion(pattern, restriction, hit)
-    bottom = _canonical(pattern)
-    class_key = (bottom[0], token)
+    # Through the module, so a wrapper set on graphs sees the search.
+    pattern_key, perm, _ = graphs._canonical_search(pattern)
+    class_key = (pattern_key, token)
     if token is not None:
         hit = _expansion_cache.get(class_key)
         if hit is not None:
@@ -153,7 +155,7 @@ def expand(restriction, pattern, limit=None):
     lattice = enumerate_flats(constraint, limit)
     groups = _group_quotients(
         pattern, zip((flat.partition for flat in lattice.flats),
-                     lattice.mobius), bottom)
+                     lattice.mobius), (pattern_key, _placed(pattern, perm)))
     terms = []
     for key, (rep, coeff) in groups.items():
         if coeff == 0:

@@ -247,23 +247,29 @@ def quotient(graph, partition):
     return Graph(partition.num_blocks(), edges, selfloops_allowed=True)
 
 
+def breadth_first(graph, root):
+    """Breadth-first order of root's component and the parent of each of
+    its vertices (None for root). Neighbours are visited in ascending
+    order, so the walk depends only on the graph's value."""
+    if not (0 <= root < graph.n):
+        raise ValueError(f"vertex {root} out of range")
+    order = [root]
+    parent = {root: None}
+    for v in order:
+        for w in sorted(graph.neighbors(v)):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 def bfs_distances(graph, source):
     """Distances from source; unreachable vertices get math.inf."""
-    if not (0 <= source < graph.n):
-        raise ValueError(f"vertex {source} out of range")
+    order, parent = breadth_first(graph, source)
     dist = [math.inf] * graph.n
     dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in graph.neighbors(u):
-                if dist[w] == math.inf:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
     return dist
 
 
@@ -272,17 +278,10 @@ def connected_components(graph):
     labels = [-1] * graph.n
     count = 0
     for start in range(graph.n):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if labels[w] == -1:
-                    labels[w] = count
-                    stack.append(w)
-        count += 1
+        if labels[start] == -1:
+            for v in breadth_first(graph, start)[0]:
+                labels[v] = count
+            count += 1
     return count, labels
 
 
@@ -368,6 +367,14 @@ def canonical_form(graph, limit=None):
     return key
 
 
+def _placed(graph, perm):
+    """The relabeling of the graph that moves perm[i] to vertex i."""
+    relabel = [0] * graph.n
+    for pos, old in enumerate(perm):
+        relabel[old] = pos
+    return graph.relabeled(relabel)
+
+
 def _canonical(graph, seen=()):
     """Canonical key and the relabeling of the graph realizing it, from
     one canonical search. The relabeling is None when the key is already
@@ -375,10 +382,7 @@ def _canonical(graph, seen=()):
     key, perm, _ = _canonical_search(graph)
     if key in seen:
         return key, None
-    relabel = [0] * graph.n
-    for pos, old in enumerate(perm):
-        relabel[old] = pos
-    return key, graph.relabeled(relabel)
+    return key, _placed(graph, perm)
 
 
 def canonical_representative(graph, limit=None):
@@ -463,7 +467,8 @@ def windmill(k):
 
 
 def spider_parts(k):
-    """Vertex roles of spider(k): (apex, short-leg tips, mids, long-leg tips)."""
+    """Vertex roles of spider(k): (apex, short-leg tips, mids, long-leg
+    tips)."""
     apex = 0
     short = list(range(1, k + 1))
     mid = list(range(k + 1, 2 * k + 1))

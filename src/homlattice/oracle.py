@@ -21,7 +21,8 @@ DEFAULT_BUDGET = 10 ** 8
 
 def _check_budget(size, budget):
     if size > budget:
-        raise BudgetError(f"enumeration of {size} maps exceeds budget {budget}")
+        raise BudgetError(
+            f"enumeration of {size} maps exceeds budget {budget}")
 
 
 def _hom_search(pattern, host, accept_partial, accept_full):

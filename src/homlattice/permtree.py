@@ -19,7 +19,7 @@ are counted through rooted shapes at the tree's center.
 """
 
 from .errors import HomlatticeError, ParseError, TreeError
-from .graphs import Graph, _Value, connected_components
+from .graphs import Graph, _Value, breadth_first, connected_components
 from .oracle import _check_matrix, permanent_ryser
 
 
@@ -121,16 +121,7 @@ def build_gadget(matrix):
 
 def _rooted_aut(tree, root):
     """Automorphism count of the tree rooted at root, from AHU shapes."""
-    order = []
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in tree.neighbors(v):
-            if w != parent[v]:
-                parent[w] = v
-                stack.append(w)
+    order, parent = breadth_first(tree, root)
     interned = {}
     aut = {}
     shape = {}
@@ -151,26 +142,17 @@ def _rooted_aut(tree, root):
 
 
 def tree_center(tree):
-    """The one or two middle vertices found by stripping leaves."""
+    """The one or two middle vertices of a longest path. A walk from 0
+    ends at a vertex farthest from it, which ends a longest path, and a
+    walk from that vertex ends at the path's other end."""
     check_tree(tree)
-    if tree.n <= 2:
-        return tuple(range(tree.n))
-    degree = [tree.degree(v) for v in range(tree.n)]
-    alive = [True] * tree.n
-    layer = [v for v in range(tree.n) if degree[v] == 1]
-    remaining = tree.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            for w in tree.neighbors(v):
-                if alive[w]:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(v for v in range(tree.n) if alive[v]))
+    far = breadth_first(tree, 0)[0][-1]
+    order, parent = breadth_first(tree, far)
+    path = [order[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    k = len(path)
+    return tuple(sorted(path[(k - 1) // 2:k // 2 + 1]))
 
 
 def tree_automorphism_count(tree):
@@ -200,16 +182,10 @@ def count_tree_embeddings(pattern, host):
     if pattern.n == 1:
         return host.n
     root = 0
-    children = {}
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        kids = [w for w in pattern.neighbors(v) if w != parent[v]]
-        children[v] = kids
-        for w in kids:
-            parent[w] = v
-            stack.append(w)
+    order, parent = breadth_first(pattern, root)
+    children = {v: [] for v in order}
+    for v in order[1:]:
+        children[parent[v]].append(v)
     memo = {}
 
     def maps_below(v, target, avoid):

@@ -16,8 +16,8 @@ Custom restrictions supply their own builder and are validated for vertex
 preservation and loop-freeness.
 
 The contraction minors of a restriction are the terms of the pattern's
-signed expansion, ``basis.expand``: every condensed coefficient is nonzero, so no class of
-loop-free quotients drops out of it.
+signed expansion, ``basis.expand``: every condensed coefficient is
+nonzero, so no class of loop-free quotients drops out of it.
 """
 
 from itertools import combinations

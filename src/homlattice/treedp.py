@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from .cache import CacheInfo, LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
-from .graphs import connected_components
+from .graphs import breadth_first, connected_components
 
 _MEMO_HOSTS = 4
 _MEMO_TERMS = 1024
@@ -108,20 +108,14 @@ def _exact_order(graph):
 
 
 def _tree_order(tree):
-    """(width, order) of a tree, leaves first: breadth-first search from a
-    vertex of highest degree (lowest index on ties), reversed. Every
-    vertex but the root then has one neighbour later in the order, its
-    parent, so no bucket holds more than one variable."""
+    """(width, order) of a tree, leaves first: the breadth-first walk
+    (``graphs.breadth_first``) from a vertex of highest degree (lowest
+    index on ties), reversed. Every vertex but the root then has one
+    neighbour later in the order, its parent, so no bucket holds more
+    than one variable."""
     root = max(range(tree.n), key=lambda v: (tree.degree(v), -v))
-    order = [root]
-    seen = {root}
-    for v in order:
-        for w in sorted(tree.neighbors(v)):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    order.reverse()
-    return min(tree.n - 1, 1), tuple(order)
+    order, _ = breadth_first(tree, root)
+    return min(tree.n - 1, 1), tuple(reversed(order))
 
 
 @lru_cache(maxsize=1024)

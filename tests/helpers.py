@@ -103,6 +103,29 @@ def all_trees(max_n):
     return tuple(out)
 
 
+def reference_tree_center(tree):
+    """The one or two middle vertices found by stripping leaves, layer by
+    layer: the centre finder ``permtree.tree_center`` replaced."""
+    if tree.n <= 2:
+        return tuple(range(tree.n))
+    degree = [tree.degree(v) for v in range(tree.n)]
+    alive = [True] * tree.n
+    layer = [v for v in range(tree.n) if degree[v] == 1]
+    remaining = tree.n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            alive[v] = False
+            for w in tree.neighbors(v):
+                if alive[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return tuple(sorted(v for v in range(tree.n) if alive[v]))
+
+
 def iter_set_partitions(n):
     """All partitions of 0..n-1 as restricted growth strings.
 

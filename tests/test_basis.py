@@ -102,11 +102,26 @@ def test_expand_searches_the_pattern_once(monkeypatch):
     assert len(searched) == before + 1
 
 
+def test_class_key_hit_builds_no_representative(monkeypatch):
+    """An isomorphic relabelling found under its class key takes the
+    cached terms and relabels nothing."""
+    expand(LI, cycle(6))
+    relabeled = cycle(6).relabeled([1, 0, 2, 3, 4, 5])
+    calls = []
+    relabel = Graph.relabeled
+    monkeypatch.setattr(
+        Graph, "relabeled",
+        lambda g, perm: calls.append(g) or relabel(g, perm))
+    assert expand(LI, relabeled).terms == expand(LI, cycle(6)).terms
+    assert calls == []
+
+
 def test_expand_builds_one_representative_per_term(monkeypatch):
     relabeled = []
     relabel = Graph.relabeled
-    monkeypatch.setattr(Graph, "relabeled",
-                        lambda g, perm: relabeled.append(g) or relabel(g, perm))
+    monkeypatch.setattr(
+        Graph, "relabeled",
+        lambda g, perm: relabeled.append(g) or relabel(g, perm))
     expansion = expand(locally_injective(2), cycle(6))
     assert len(expansion) > 1
     assert len(relabeled) == len(expansion)

@@ -12,6 +12,7 @@ from homlattice.graphs import (
     _canonical_search,
     biclique,
     bfs_distances,
+    breadth_first,
     canonical_form,
     canonical_representative,
     clique,
@@ -280,6 +281,45 @@ def test_symmetric_patterns_at_the_limit_canonicalise():
 def test_nonisomorphic_pairs_have_distinct_keys():
     keys = [canonical_form(g) for g in iso_classes(5)]
     assert len(set(keys)) == len(keys)
+
+
+def test_breadth_first_walks_the_root_component():
+    """The order holds root's component exactly once, each parent pair is
+    an edge met earlier in the order, and distances never decrease."""
+    import networkx as nx
+
+    for nxg in nx.graph_atlas_g()[1:]:
+        g = Graph(nxg.number_of_nodes(), nxg.edges())
+        for root in range(g.n):
+            order, parent = breadth_first(g, root)
+            assert len(order) == len(set(order))
+            assert set(order) == nx.node_connected_component(nxg, root)
+            assert set(parent) == set(order) and parent[root] is None
+            position = {v: i for i, v in enumerate(order)}
+            depth = {root: 0}
+            for v in order[1:]:
+                assert g.has_edge(parent[v], v)
+                assert position[parent[v]] < position[v]
+                depth[v] = depth[parent[v]] + 1
+            assert [depth[v] for v in order] == sorted(depth.values())
+    with pytest.raises(ValueError):
+        breadth_first(path(3), 3)
+    with pytest.raises(ValueError):
+        bfs_distances(path(3), -1)
+
+
+def test_bfs_distances_match_networkx():
+    """Every source of every graph with at most 6 vertices."""
+    import networkx as nx
+
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() <= 6]
+    assert len(atlas) == 209
+    for nxg in atlas:
+        g = Graph(nxg.number_of_nodes(), nxg.edges())
+        for source in range(g.n):
+            expected = nx.single_source_shortest_path_length(nxg, source)
+            assert bfs_distances(g, source) == [
+                expected.get(v, math.inf) for v in range(g.n)]
 
 
 def test_distance_symmetry_random():

@@ -18,7 +18,7 @@ from homlattice.permtree import (
     verify_permanent_identity,
 )
 from homlattice.restrictions import EMB
-from helpers import all_trees, random_tree
+from helpers import all_trees, random_tree, reference_tree_center
 
 EXAMPLE = [
     [1, 0, 1, 0, 0],
@@ -44,6 +44,26 @@ def test_tree_center_examples():
     assert tree_center(path(5)) == (2,)
     assert tree_center(star(3)) == (0,)
     assert tree_center(Graph(1)) == (0,)
+
+
+def test_tree_center_matches_leaf_stripping():
+    """Every tree on at most 10 vertices, randomly relabelled, and the
+    gadget trees of orders 5 and 6."""
+    rng = random.Random(53)
+    trees = []
+    for tree in all_trees(10):
+        perm = list(range(tree.n))
+        rng.shuffle(perm)
+        trees.append(tree.relabeled(perm))
+    assert len(trees) == 201
+    for n in (5, 6):
+        trees.append(build_gadget(identity_matrix(n)).graph)
+        trees.append(build_gadget(
+            [[int(rng.random() < 0.5) for _ in range(n)]
+             for _ in range(n)]).graph)
+    trees.append(build_gadget(EXAMPLE).graph)
+    for tree in trees:
+        assert tree_center(tree) == reference_tree_center(tree)
 
 
 def test_automorphism_examples():

@@ -1,3 +1,4 @@
+import os
 import pathlib
 import re
 import subprocess
@@ -36,3 +37,49 @@ def test_readme_demo_script_runs(tmp_path):
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[0].startswith("matrix order 5,")
         assert run.stdout.rstrip().endswith(": agree")
+
+
+def _synopsis_variants(words):
+    """Each way to write a synopsis line: every optional ``[...]`` part
+    left out, or given with each of its ``a|b`` alternatives."""
+    line = " ".join(words)
+    match = re.search(r"\[(.*?)\]", line)
+    if match is None:
+        return [words]
+    *flag, choices = match.group(1).split()
+    head = line[:match.start()].split()
+    tail = line[match.end():].split()
+    options = [[]] + [flag + [choice] for choice in choices.split("|")]
+    return [variant for option in options
+            for variant in _synopsis_variants(head + option + tail)]
+
+
+def test_readme_command_lines_run(tmp_path):
+    """Each line of the README's command-line synopsis runs as
+    ``python -m homlattice`` on small files, with every optional flag
+    left out and given."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    files = {
+        "P.g": "p edge 3 2\ne 1 2\ne 2 3\n",
+        "G.g": "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n",
+        "M.txt": "1 li P.g\n2 emb P.g\n",
+        "A.txt": MATRIX,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    runs = 0
+    for line in block.splitlines():
+        prog, *words = line.split()
+        assert prog == "homlattice"
+        for args in _synopsis_variants(words):
+            run = subprocess.run(
+                [sys.executable, "-m", "homlattice", *args], cwd=tmp_path,
+                capture_output=True, text=True, env=env, timeout=60)
+            assert run.returncode == 0, (args, run.stderr)
+            assert run.stdout.strip(), args
+            runs += 1
+    assert runs == 8

@@ -57,7 +57,8 @@ def test_decomposition_validates():
 
 def test_nice_form_still_validates():
     graph = cycle(5)
-    nice = make_nice(decomposition_from_order(graph, treewidth_exact(graph)[1]))
+    order = treewidth_exact(graph)[1]
+    nice = make_nice(decomposition_from_order(graph, order))
     validate_decomposition(nice, graph)
     assert not nice.bags[nice.root]
 
