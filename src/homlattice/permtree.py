@@ -16,6 +16,10 @@ assignments are combined by subset dynamic programming. On trees every
 such locally injective map is globally injective, so this counts
 embeddings. Subtree counts divide out the pattern's automorphisms, which
 are counted through rooted shapes at the tree's center.
+
+Each public function runs ``check_tree`` once per tree it is given (the
+gadget builder on the tree it builds); the private passes behind them
+trust their input.
 """
 
 from .errors import HomlatticeError, ParseError, TreeError
@@ -146,6 +150,10 @@ def tree_center(tree):
     ends at a vertex farthest from it, which ends a longest path, and a
     walk from that vertex ends at the path's other end."""
     check_tree(tree)
+    return _center(tree)
+
+
+def _center(tree):
     far = breadth_first(tree, 0)[0][-1]
     order, parent = breadth_first(tree, far)
     path = [order[-1]]
@@ -164,7 +172,11 @@ def tree_automorphism_count(tree):
     the edge's halves are the rooted ones that swap its two branches.
     """
     check_tree(tree)
-    center = tree_center(tree)
+    return _automorphisms(tree)
+
+
+def _automorphisms(tree):
+    center = _center(tree)
     root = center[0]
     if len(center) == 2:
         root = tree.n
@@ -177,6 +189,10 @@ def count_tree_embeddings(pattern, host):
     """Number of injective edge-preserving maps between two trees."""
     check_tree(pattern)
     check_tree(host)
+    return _embeddings(pattern, host)
+
+
+def _embeddings(pattern, host):
     if pattern.n > host.n:
         return 0
     if pattern.n == 1:
@@ -237,8 +253,14 @@ def count_tree_embeddings(pattern, host):
 
 def count_subtrees(pattern, host):
     """Number of subtrees of the host isomorphic to the pattern tree."""
-    emb = count_tree_embeddings(pattern, host)
-    aut = tree_automorphism_count(pattern)
+    check_tree(pattern)
+    check_tree(host)
+    return _subtrees(pattern, host)
+
+
+def _subtrees(pattern, host):
+    emb = _embeddings(pattern, host)
+    aut = _automorphisms(pattern)
     if emb % aut != 0:
         raise AssertionError("embedding count not divisible by automorphisms")
     return emb // aut
@@ -268,5 +290,4 @@ def verify_permanent_identity(matrix):
     perm = permanent_ryser(matrix)
     pattern = build_gadget(identity_matrix(n)).graph
     host = build_gadget(matrix).graph
-    subtrees = count_subtrees(pattern, host)
-    return PermanentCheck(perm, subtrees)
+    return PermanentCheck(perm, _subtrees(pattern, host))

@@ -20,8 +20,10 @@ factors with forward checking (Haralick and Elliott 1980): each assigned
 variable narrows the domains of the later ones at once, so a dead branch
 is cut off where it starts. Factors are nested dicts in elimination
 order, so each bucket reads its factors as tries without rebuilding
-them. Counts are arbitrary-precision integers, so hosts can be large as
-long as the width stays small.
+them. Buckets of the same shape share one table while it is in use,
+and the last joined bucket adds straight into the count without a table
+(see ``_eliminate``). Counts are arbitrary-precision integers, so hosts
+can be large as long as the width stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
@@ -36,6 +38,7 @@ pattern checks run on every call, hit or miss. ``hom_cache_info`` and
 """
 
 from functools import lru_cache
+from operator import mul
 
 from .cache import CacheInfo, LRUCache
 from .errors import HomlatticeError, HostError, ensure_pattern_size
@@ -177,25 +180,31 @@ def _vector_message(pattern, adj, v, scope, bucket):
     return [sum(map(at, near)) for near in adj]
 
 
-def _join(pattern, adj, v, scope, bucket):
-    """Sum v out of any bucket by one join over v and then the scope, with
+def _join(pattern, adj, v, scope, bucket, summed=False):
+    """Sum v out of a bucket by one join over v and then the scope, with
     forward checking (Haralick and Elliott 1980).
 
     The join assigns v first and then the scope's variables in order, and
-    reads each factor's nested table as a trie along its scope. Assigning
-    a level narrows the domain of every later level it constrains: through
-    a pattern edge to the host neighbourhood of its image, and through a
-    factor to that factor's child trie node. An image that empties a later
-    domain is skipped at once, so the last level only meets finished
-    domains: it is iterated in place and its weights are added straight
-    into the output row. Pattern edges already used by an earlier bucket
-    may prune again, since an edge indicator is idempotent.
+    reads each factor's nested table as a trie along its scope. A factor's
+    top level narrows its own first level's domain before the join starts,
+    and a table the bucket holds again on the same scope only multiplies
+    its values in again. Assigning a level narrows the domain of every
+    later level it constrains: through a pattern edge to the host
+    neighbourhood of its image, and through a factor to that factor's
+    child trie node. A domain is tested for disjointness before it is
+    intersected, and an image that empties a later domain is skipped at
+    once, so the last level only meets finished domains: it is iterated
+    in place and its weights are added straight into the output row, or
+    summed into the total when ``summed``. Pattern edges already used by
+    an earlier bucket may prune again, since an edge indicator is
+    idempotent.
 
     Returns the sum for an empty scope, a vector over the host's vertices
     for one variable, and for more, nested dicts of the nonzero entries
-    keyed in scope order, like the factors. A factor whose scope is not
-    in elimination order would be read along the wrong levels, so it
-    raises ``AssertionError``.
+    keyed in scope order, like the factors. With ``summed`` the scope is
+    summed out too, so it returns the total; the bucket may then hold
+    factors without v. A factor whose scope is not in elimination order
+    would be read along the wrong levels, so it raises ``AssertionError``.
     """
     variables = (v,) + scope
     last = len(scope)
@@ -209,24 +218,27 @@ def _join(pattern, adj, v, scope, bucket):
     ends = [[] for _ in variables]
     slots = []
     domains = [None] * (last + 1)  # None: every host vertex
+    placed = {}  # (table id, scope) -> first slot of that factor
     for f_scope, table in bucket:
         levels = [rank[u] for u in f_scope]
         if levels != sorted(levels):
             raise AssertionError("factor scope out of elimination order")
-        base = len(slots)
+        base = placed.setdefault((id(table), f_scope), len(slots))
+        if base < len(slots):  # a shared table again: multiply, no checks
+            ends[levels[-1]].append(base + len(levels) - 1)
+            continue
         slots.append({x: c for x, c in enumerate(table) if c}
                      if isinstance(table, list) else table)
         slots.extend([None] * (len(levels) - 1))
         for t in range(len(levels) - 1):
             checks[levels[t]].append((levels[t + 1], base + t))
         ends[levels[-1]].append(base + len(levels) - 1)
-        # Every factor holds v, so its top level narrows level 0 only.
-        top = slots[base].keys()
-        domains[0] = top if domains[0] is None else domains[0] & top
+        top, d = slots[base].keys(), domains[levels[0]]
+        domains[levels[0]] = top if d is None else d & top
     if domains[0] is None:
         domains[0] = range(len(adj))
+    total = 0
     if not scope:  # unary factors only: sum v out directly
-        total = 0
         for x in domains[0]:
             w = 1
             for s in ends[0]:
@@ -238,6 +250,7 @@ def _join(pattern, adj, v, scope, bucket):
     out = {}
 
     def extend(i, weight, given):
+        nonlocal total
         for x in given[i]:
             narrowed = given[:]
             for j, s in checks[i]:
@@ -247,9 +260,13 @@ def _join(pattern, adj, v, scope, bucket):
                     slots[s + 1] = child = slots[s][x]
                     near = child.keys()
                 d = narrowed[j]
-                d = narrowed[j] = near if d is None else d & near
-                if not d:
+                if d is not None:
+                    if d.isdisjoint(near):
+                        break
+                    near = d & near
+                elif not near:
                     break
+                narrowed[j] = near
             else:
                 w = weight
                 for s in ends[i]:
@@ -257,6 +274,14 @@ def _join(pattern, adj, v, scope, bucket):
                 image[i] = x
                 if i + 1 < last:
                     extend(i + 1, w, narrowed)
+                    continue
+                if summed:
+                    ys = narrowed[last]
+                    terms = None
+                    for s in leaves:
+                        at = map(slots[s].__getitem__, ys)
+                        terms = at if terms is None else map(mul, terms, at)
+                    total += w * (len(ys) if terms is None else sum(terms))
                     continue
                 row = out
                 for y in image[1:]:
@@ -277,6 +302,8 @@ def _join(pattern, adj, v, scope, bucket):
                     row[y] = row.get(y, 0) + c
 
     extend(0, 1, domains)
+    if summed:
+        return total
     if last > 1:
         return out
     vector = [0] * len(adj)
@@ -286,42 +313,72 @@ def _join(pattern, adj, v, scope, bucket):
 
 
 def _eliminate(pattern, host, order, width):
-    """Homomorphism count by bucket elimination along the given order.
+    """Homomorphism count of a connected pattern by bucket elimination
+    along the given order.
 
-    Factors are (scope, table) pairs: a list over host vertices for one
-    variable, and for more, nested dicts keyed by the scope's variables in
-    order with the nonzero values at the leaves. Scopes list their
-    variables in elimination order, so the bucket that takes a factor,
-    that of its first variable, reads the table as it is. Pattern edges
-    stay implicit as host adjacency, each used by the bucket of its first
-    eliminated endpoint.
+    Factors are (scope, table, key) triples. A table is a list over host
+    vertices for one variable, and for more, nested dicts keyed by the
+    scope's variables in order with the nonzero values at the leaves.
+    Scopes list their variables in elimination order, so the bucket that
+    takes a factor, that of its first variable, reads the table as it is.
+    Pattern edges stay implicit as host adjacency, each used by the bucket
+    of its first eliminated endpoint.
+
+    A key describes the bucket that made a table without naming pattern
+    vertices: the pattern edges among v and its scope as level pairs, and
+    the sorted (key, levels) of the bucket's factors. Every scope variable
+    is v's neighbour or in one of those factors, so equal keys give equal
+    tables, and a bucket whose key is live takes that table as it is.
+    ``live`` counts the factors sharing each table and drops it with the
+    last of them, so no more tables are held than when every bucket
+    builds its own. The last join bucket, v with a scope that holds every
+    vertex left, joins all remaining factors and returns their sum, so
+    ``cycle(4)`` and ``cycle(5)``, canonically labelled, tabulate only
+    their common neighbours, once. Unary buckets pass vectors; a tree's
+    root sums its own.
     """
     adj = host._adj  # the host's own adjacency tuple, not a copy
-    total = 1
     factors = []
+    live = {}  # key -> [table, factors holding it]
     position = {u: i for i, u in enumerate(order)}
-    for v in order:
+    for i, v in enumerate(order):
         bucket = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        scope = {u for u in pattern.neighbors(v) if position[u] > position[v]}
-        for f_scope, _ in bucket:
+        scope = {u for u in pattern.neighbors(v) if position[u] > i}
+        for f_scope, _, _ in bucket:
             scope.update(f_scope)
         scope.discard(v)
         if len(scope) > width:
             raise AssertionError("elimination scope exceeds the order's width")
         scope = tuple(sorted(scope, key=position.__getitem__))
-        unary = len(scope) <= 1 and all(len(s) == 1 for s, _ in bucket)
-        step = _vector_message if unary else _join
-        table = step(pattern, adj, v, scope, bucket)
+        unary = len(scope) <= 1 and all(len(f[0]) == 1 for f in bucket)
+        if not unary and len(scope) == len(order) - i - 1:
+            return _join(pattern, adj, v, scope,
+                         [f[:2] for f in factors], summed=True)
         if not scope:
-            total *= table
-        elif table:
-            factors.append((scope, table))
-        else:
-            return 0
-        if total == 0:
-            return 0
-    return total
+            return _vector_message(pattern, adj, v, scope,
+                                   [f[:2] for f in bucket])
+        factors = [f for f in factors if v not in f[0]]
+        variables = (v,) + scope
+        level = {u: j for j, u in enumerate(variables)}
+        key = (tuple((j, k) for k, u in enumerate(variables)
+                     for j in range(k)
+                     if variables[j] in pattern.neighbors(u)),
+               tuple(sorted((f_key, tuple(map(level.__getitem__, f_scope)))
+                            for f_scope, _, f_key in bucket)))
+        for _, _, f_key in bucket:
+            entry = live[f_key]
+            entry[1] -= 1
+            if not entry[1]:
+                del live[f_key]
+        entry = live.get(key)
+        if entry is None:
+            step = _vector_message if unary else _join
+            table = step(pattern, adj, v, scope, [f[:2] for f in bucket])
+            if not table:
+                return 0
+            entry = live[key] = [table, 0]
+        entry[1] += 1
+        factors.append((scope, entry[0], key))
 
 
 def hom_count(pattern, host, limit=None):

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from homlattice import treedp
 from homlattice.errors import HomlatticeError, HostError
 from homlattice.flats import blocks_connected, partition_leq
 from homlattice.graphs import Graph, VertexPartition, canonical_form, \
@@ -630,3 +631,38 @@ def reference_join(pattern, adj, v, scope, bucket):
             vector[y] = c
         return vector
     return out
+
+
+def reference_eliminate(pattern, host, order, width):
+    """Second oracle for ``treedp._eliminate``, the elimination it
+    replaced: every bucket takes the factors holding v and is tabulated
+    by ``treedp._vector_message`` or ``treedp._join`` on its own, no two
+    buckets share a table, and the last vertex's bucket is summed by the
+    vector step. Factors are (scope, table) pairs with scopes in
+    elimination order."""
+    adj = host._adj
+    total = 1
+    factors = []
+    position = {u: i for i, u in enumerate(order)}
+    for v in order:
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        scope = {u for u in pattern.neighbors(v) if position[u] > position[v]}
+        for f_scope, _ in bucket:
+            scope.update(f_scope)
+        scope.discard(v)
+        if len(scope) > width:
+            raise AssertionError("elimination scope exceeds the order's width")
+        scope = tuple(sorted(scope, key=position.__getitem__))
+        unary = len(scope) <= 1 and all(len(s) == 1 for s, _ in bucket)
+        step = treedp._vector_message if unary else treedp._join
+        table = step(pattern, adj, v, scope, bucket)
+        if not scope:
+            total *= table
+        elif table:
+            factors.append((scope, table))
+        else:
+            return 0
+        if total == 0:
+            return 0
+    return total

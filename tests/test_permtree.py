@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from homlattice import permtree
 from homlattice.errors import HomlatticeError, ParseError, TreeError
 from homlattice.graphs import Graph, count_automorphisms, cycle, path, star
 from homlattice.oracle import brute_restricted
@@ -37,6 +38,34 @@ def test_check_tree_rejects_non_trees():
     with pytest.raises(TreeError):
         check_tree(Graph(0))
     check_tree(path(4))
+
+
+def test_each_tree_is_checked_once(monkeypatch):
+    check = permtree.check_tree
+    checked = []
+
+    def counted(graph):
+        checked.append(graph.n)
+        check(graph)
+
+    monkeypatch.setattr(permtree, "check_tree", counted)
+    result = verify_permanent_identity(EXAMPLE)
+    assert result.match and result.permanent == 6
+    # The identity gadget (56 vertices) and the matrix gadget (62), each
+    # once, by build_gadget; the subtree count trusts them.
+    assert checked == [56, 62]
+    tree = build_gadget(EXAMPLE).graph
+    for call, args in [(tree_center, (tree,)),
+                       (tree_automorphism_count, (tree,)),
+                       (count_tree_embeddings, (path(3), tree)),
+                       (count_subtrees, (path(3), tree))]:
+        checked.clear()
+        call(*args)
+        assert checked == [a.n for a in args]
+        for bad in (cycle(3), Graph(2)):
+            for at in range(len(args)):
+                with pytest.raises(TreeError):
+                    call(*args[:at], bad, *args[at + 1:])
 
 
 def test_tree_center_examples():

@@ -1,6 +1,9 @@
-"""Layout rules for the sources that no installed linter checks."""
+"""Layout and dependency rules for the sources that no installed linter
+checks."""
 
+import ast
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -14,3 +17,18 @@ def test_no_line_exceeds_79_columns():
                      for number, line in enumerate(lines, 1)
                      if len(line) > 79]
     assert long == []
+
+
+def test_package_imports_only_the_standard_library():
+    """The library stays dependency-free: every absolute import under
+    src/homlattice names a standard-library module or the package."""
+    allowed = sys.stdlib_module_names | {"homlattice"}
+    imported = set()
+    for source in sorted((ROOT / "src/homlattice").rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert "functools" in imported
+    assert imported - allowed == set()

@@ -7,13 +7,15 @@ from homlattice.basis import count_restricted
 from homlattice.cache import LRUCache
 from homlattice.errors import HomlatticeError, HostError, PatternSizeError
 from homlattice.graphs import (Graph, biclique, canonical_representative,
-                               clique, cycle, path, star)
+                               clique, connected_components, cycle, path,
+                               star)
 from homlattice.oracle import brute_hom, brute_restricted
 from homlattice.restrictions import EMB, LI, locally_injective
 from homlattice.treedp import hom_count, treewidth_exact
 from helpers import (TreeDecomposition, all_trees, decomposition_from_order,
                      graphs_up_to, make_nice, nice_dp_count, nonzero_entries,
-                     random_graph, random_host, random_tree, reference_join,
+                     random_graph, random_host, random_tree,
+                     reference_eliminate, reference_join,
                      validate_decomposition)
 
 
@@ -109,18 +111,119 @@ def test_join_matches_reference_join(monkeypatch):
     join = treedp._join
     calls = []
 
-    def recorded(*args):
-        table = join(*args)
-        calls.append((args, table))
+    def recorded(*args, summed=False):
+        table = join(*args, summed=summed)
+        calls.append((args, summed, table))
         return table
 
     monkeypatch.setattr(treedp, "_join", recorded)
     for host in hosts:
         for pattern in (Graph(0),) + graphs_up_to(5):
             hom_count(pattern, host)
-    assert {len(args[3]) for args, _ in calls} == {1, 2, 3, 4}
-    for args, table in calls:
-        assert nonzero_entries(table) == nonzero_entries(reference_join(*args))
+    sizes = {summed: {len(args[3]) for args, kind, _ in calls
+                      if kind == summed}
+             for summed in (False, True)}
+    assert sizes == {False: {1, 2, 3}, True: {2, 3, 4}}
+    for args, summed, table in calls:
+        expected = nonzero_entries(reference_join(*args))
+        if summed:  # the last bucket: v and its scope summed out
+            assert table == sum(expected.values())
+        else:
+            assert nonzero_entries(table) == expected
+
+
+def _both_eliminations(graph, host):
+    """The count of each component by ``_eliminate``, multiplied, and the
+    whole graph's count by ``reference_eliminate`` along the plan's
+    order."""
+    width, order, parts = treedp._plan(graph)
+    count = 1
+    for comp, comp_width, local in parts:
+        comp = graph if comp is None else comp
+        count *= treedp._eliminate(comp, host, local, comp_width)
+    return count, reference_eliminate(graph, host, order, width)
+
+
+def test_eliminate_matches_reference_eliminate():
+    rng = random.Random(71)
+    hosts = [Graph(5), random_host(rng, 12, 30), random_graph(rng, 9, 0.4),
+             Graph(14, random_host(rng, 10, 20).edges)]
+    small = random_host(rng, 8, 14)
+    for pattern in graphs_up_to(6):
+        perm = list(range(pattern.n))
+        rng.shuffle(perm)
+        graph = pattern.relabeled(perm)
+        for host in hosts:
+            new, old = _both_eliminations(graph, host)
+            assert new == old
+        if pattern.n > 1 and connected_components(pattern)[0] == 1:
+            # Other orders make other buckets, and other tables to share.
+            for _ in range(3):
+                rng.shuffle(perm)
+                assert (treedp._eliminate(graph, small, perm, pattern.n)
+                        == reference_eliminate(graph, small, perm,
+                                               pattern.n))
+    # Eliminating 2, 3, 5 and 6 leaves two buckets with equal edges and
+    # equal child tables, held at other levels: their tables differ.
+    graph = Graph(7, [(0, 6), (1, 5), (2, 4), (2, 6), (3, 4), (3, 5),
+                      (4, 5), (4, 6)])
+    order = (2, 3, 5, 6, 0, 4, 1)
+    assert (treedp._eliminate(graph, small, order, 7)
+            == reference_eliminate(graph, small, order, 7))
+    uniform = random_host(rng, 300, 600)
+    # A hub joined to every other vertex makes the widest tables.
+    hub = Graph(40, set(random_host(rng, 40, 80).edges)
+                | {(0, x) for x in range(1, 40)})
+    patterns = [cycle(k) for k in range(4, 8)]
+    patterns += [clique(k) for k in range(3, 6)] + [biclique(3)]
+    for pattern in patterns:
+        for graph in (pattern, canonical_representative(pattern)):
+            for host in (uniform, hub):
+                new, old = _both_eliminations(graph, host)
+                assert new == old
+
+
+def test_tables_stay_within_the_common_neighbour_bound(monkeypatch):
+    host = random_host(random.Random(67), 300, 900)
+    bound = sum(host.degree(x) ** 2 for x in range(host.n))
+    join = treedp._join
+    calls = []
+
+    def recorded(*args, summed=False):
+        table = join(*args, summed=summed)
+        calls.append((summed, table))
+        return table
+
+    monkeypatch.setattr(treedp, "_join", recorded)
+    # Each cycle's two buckets of common neighbours share one table, and
+    # the 3-walk table of the last three vertices is never built. (The
+    # default labelling of cycle(5) eliminates two adjacent vertices
+    # first, so its second table is the 3-walk table.)
+    triangles, four, five = _traces(host)
+    for pattern, tabulated, count in [
+            (cycle(4), 1, four), (canonical_representative(cycle(4)), 1, four),
+            (canonical_representative(cycle(5)), 1, five),
+            (clique(3), 0, triangles)]:
+        calls.clear()
+        assert hom_count(pattern, host) == count
+        assert [summed for summed, _ in calls] == [False] * tabulated + [True]
+        for _, table in calls[:-1]:
+            assert len(nonzero_entries(table)) <= bound
+    vector = treedp._vector_message
+    messages = []
+
+    def counted(*args):
+        messages.append(args[3])
+        return vector(*args)
+
+    monkeypatch.setattr(treedp, "_vector_message", counted)
+    # Both leaves share one degree vector and both middle vertices one
+    # message; the root sums. hom(path(5)) counts the walks with 4 edges.
+    middle = [sum(host.degree(y) for y in host.neighbors(x))
+              for x in range(host.n)]
+    pattern = canonical_representative(path(5))
+    assert hom_count(pattern, host) == sum(c * c for c in middle)
+    assert len(messages) == 3
 
 
 def _traces(host):
@@ -295,10 +398,13 @@ def test_plan_orders_match_the_subset_dp(monkeypatch):
     join = treedp._join
     joined = []
 
-    def checked(*args):
-        table = join(*args)
-        assert nonzero_entries(table) == nonzero_entries(
-            reference_join(*args))
+    def checked(*args, summed=False):
+        table = join(*args, summed=summed)
+        expected = nonzero_entries(reference_join(*args))
+        if summed:
+            assert table == sum(expected.values())
+        else:
+            assert nonzero_entries(table) == expected
         joined.append(args[0])
         return table
 
