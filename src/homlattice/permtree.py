@@ -9,11 +9,12 @@ the degree-4 vertices, which pins any embedding of the identity gadget
 onto column structure; the number of subtrees of the matrix gadget
 isomorphic to the identity gadget then equals the permanent.
 
-Embedding counts between trees are computed by a memoized rooted search:
-a map is fixed by the image of one root, children must go injectively
-into distinct neighbors avoiding the parent's image, and child
-assignments are combined by subset dynamic programming. On trees every
-such locally injective map is globally injective, so this counts
+Embedding counts between trees take two passes over the pattern rooted
+at vertex 0: parents first, collect the (image, parent's image) states
+each vertex can take; children first, count each state's maps, its
+children going injectively into distinct neighbors of the image other
+than the parent's image, combined by subset dynamic programming. On trees
+every such locally injective map is globally injective, so this counts
 embeddings. Subtree counts divide out the pattern's automorphisms, which
 are counted through rooted shapes at the tree's center.
 
@@ -193,62 +194,57 @@ def count_tree_embeddings(pattern, host):
 
 
 def _embeddings(pattern, host):
+    """States (image of v, image of v's parent) exist only for pattern
+    vertices v with children: a leaf fits on any free neighbour of its
+    parent's image. The parent's image, when there is one, neighbours the
+    image, so v's image has one free neighbour fewer than its degree. A
+    child's counts are dropped once its parent has read them."""
     if pattern.n > host.n:
         return 0
     if pattern.n == 1:
         return host.n
-    root = 0
-    order, parent = breadth_first(pattern, root)
-    children = {v: [] for v in order}
+    order, parent = breadth_first(pattern, 0)
+    children = [[] for _ in order]
     for v in order[1:]:
         children[parent[v]].append(v)
-    memo = {}
-
-    def maps_below(v, target, avoid):
-        """Maps of v's subtree with v at target, children avoiding avoid.
-
-        Yields each child state not yet in the memo and is sent its count,
-        so deep patterns are evaluated from an explicit stack.
-        """
-        kids = children[v]
-        targets = [t for t in host.neighbors(target) if t != avoid]
-        if len(targets) < len(kids):
-            return 0
-        ways = {0: 1}
-        for kid in kids:
-            leaf = not children[kid]
-            grown = {}
-            for mask, weight in ways.items():
-                for idx, t in enumerate(targets):
-                    if mask >> idx & 1:
-                        continue
-                    sub = 1 if leaf else memo.get((kid, t, target))
-                    if sub is None:
-                        sub = yield kid, t, target
-                    if sub:
-                        new = mask | 1 << idx
-                        grown[new] = grown.get(new, 0) + weight * sub
-            ways = grown
-            if not ways:
-                break
-        return sum(ways.values())
-
-    total = 0
-    for t in range(host.n):
-        stack = [((root, t, None), maps_below(root, t, None))]
-        value = None
-        while stack:
-            state, frame = stack[-1]
-            try:
-                child = frame.send(value)
-            except StopIteration as done:
-                value = memo[state] = done.value
-                stack.pop()
-            else:
-                stack.append((child, maps_below(*child)))
-                value = None
-        total += value
-    return total
+    inner = [v for v in order if children[v]]
+    reach = {v: set() for v in inner}
+    reach[0].update((t, None) for t in range(host.n))
+    for v in inner:
+        kids = [kid for kid in children[v] if children[kid]]
+        for target, avoid in reach[v]:
+            if host.degree(target) - (avoid is not None) >= len(children[v]):
+                for kid in kids:
+                    reach[kid].update((t, target)
+                                      for t in host.neighbors(target)
+                                      if t != avoid)
+    counts = {}
+    for v in reversed(inner):
+        tables = [counts.pop(kid) if children[kid] else None
+                  for kid in children[v]]
+        found = counts[v] = {}
+        for state in reach.pop(v):
+            target, avoid = state
+            free = [t for t in host.neighbors(target) if t != avoid]
+            if len(free) < len(tables):
+                continue
+            ways = {0: 1}
+            for table in tables:
+                grown = {}
+                for mask, weight in ways.items():
+                    for idx, t in enumerate(free):
+                        if mask >> idx & 1:
+                            continue
+                        sub = 1 if table is None else table.get((t, target))
+                        if sub:
+                            new = mask | 1 << idx
+                            grown[new] = grown.get(new, 0) + weight * sub
+                ways = grown
+                if not ways:
+                    break
+            if ways:
+                found[state] = sum(ways.values())
+    return sum(counts[0].values())
 
 
 def count_subtrees(pattern, host):

@@ -7,8 +7,8 @@ from itertools import combinations
 from homlattice import treedp
 from homlattice.errors import HomlatticeError, HostError
 from homlattice.flats import blocks_connected, partition_leq
-from homlattice.graphs import Graph, VertexPartition, canonical_form, \
-    canonical_representative
+from homlattice.graphs import Graph, VertexPartition, breadth_first, \
+    canonical_form, canonical_representative
 
 
 def random_graph(rng, n, p=0.5):
@@ -125,6 +125,68 @@ def reference_tree_center(tree):
                         nxt.append(w)
         layer = nxt
     return tuple(sorted(v for v in range(tree.n) if alive[v]))
+
+
+def reference_tree_embeddings(pattern, host):
+    """Tree embeddings by a memoised rooted search run from an explicit
+    stack of generator frames: the counter ``permtree._embeddings``
+    replaced."""
+    if pattern.n > host.n:
+        return 0
+    if pattern.n == 1:
+        return host.n
+    root = 0
+    order, parent = breadth_first(pattern, root)
+    children = {v: [] for v in order}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    memo = {}
+
+    def maps_below(v, target, avoid):
+        """Maps of v's subtree with v at target, children avoiding avoid.
+
+        Yields each child state not yet in the memo and is sent its count,
+        so deep patterns are evaluated from an explicit stack.
+        """
+        kids = children[v]
+        targets = [t for t in host.neighbors(target) if t != avoid]
+        if len(targets) < len(kids):
+            return 0
+        ways = {0: 1}
+        for kid in kids:
+            leaf = not children[kid]
+            grown = {}
+            for mask, weight in ways.items():
+                for idx, t in enumerate(targets):
+                    if mask >> idx & 1:
+                        continue
+                    sub = 1 if leaf else memo.get((kid, t, target))
+                    if sub is None:
+                        sub = yield kid, t, target
+                    if sub:
+                        new = mask | 1 << idx
+                        grown[new] = grown.get(new, 0) + weight * sub
+            ways = grown
+            if not ways:
+                break
+        return sum(ways.values())
+
+    total = 0
+    for t in range(host.n):
+        stack = [((root, t, None), maps_below(root, t, None))]
+        value = None
+        while stack:
+            state, frame = stack[-1]
+            try:
+                child = frame.send(value)
+            except StopIteration as done:
+                value = memo[state] = done.value
+                stack.pop()
+            else:
+                stack.append((child, maps_below(*child)))
+                value = None
+        total += value
+    return total
 
 
 def iter_set_partitions(n):

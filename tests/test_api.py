@@ -125,6 +125,39 @@ def test_sibling_imports_inside_functions_are_the_lazy_loads():
                      ("cli", "oracle"), ("cli", "permtree")}
 
 
+MODULE_IMPORTS = {
+    "__init__": {"basis", "errors", "flats", "graphs", "restrictions",
+                 "treedp"},
+    "__main__": {"cli"},
+    "basis": {"cache", "errors", "flats", "graphs", "restrictions",
+              "treedp"},
+    "cache": set(),
+    "cli": {"basis", "errors", "graphs", "restrictions", "treedp"},
+    "errors": set(),
+    "flats": {"errors", "graphs"},
+    "graphs": {"errors"},
+    "oracle": {"errors", "graphs", "restrictions"},
+    "permtree": {"errors", "graphs", "oracle"},
+    "restrictions": {"errors", "flats", "graphs", "treedp"},
+    "treedp": {"cache", "errors", "graphs"},
+}
+
+
+def test_module_imports_are_pinned():
+    """The sibling modules each module imports at its top level, so that
+    a new dependency between modules shows up in this file's diff."""
+    found = {}
+    for source in Path(homlattice.__file__).parent.glob("*.py"):
+        imported = found[source.stem] = set()
+        for node in ast.parse(source.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    imported.add(node.module.split(".")[0])
+                else:
+                    imported.update(alias.name for alias in node.names)
+    assert found == MODULE_IMPORTS
+
+
 def test_no_module_reads_the_environment():
     """Limits and every other setting come from the caller's arguments,
     so no package module reads ``os.environ``, ``os.environb`` or

@@ -190,6 +190,19 @@ def test_perm_gadget_command(capsys, write):
     assert captured.out == "" and "--limit" in captured.err
 
 
+def test_perm_gadget_check_skips_past_the_direct_limit(capsys, write):
+    """Direct enumeration stops at n = 7; past it the check reports the
+    oracle's budget on stderr and the answer and exit code stay."""
+    ones = "\n".join(" ".join("1" if j in (i, (i + 1) % 8) else "0"
+                              for j in range(8)) for i in range(8))
+    matrix = write("cyc8.mat", f"8\n{ones}\n")
+    assert main(["perm-gadget", "--matrix", matrix, "--check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "perm=2 subtrees=2 match=yes\n"
+    assert captured.err == ("check: direct enumeration skipped (direct "
+                            "permanent enumeration limited to n <= 7)\n")
+
+
 def test_perm_gadget_small_matrix_is_a_precondition_error(capsys, write):
     matrix = write("id2.mat", "2\n1 0\n0 1\n")
     assert main(["perm-gadget", "--matrix", matrix]) == 1

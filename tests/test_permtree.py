@@ -6,7 +6,7 @@ import pytest
 from homlattice import permtree
 from homlattice.errors import HomlatticeError, ParseError, TreeError
 from homlattice.graphs import Graph, count_automorphisms, cycle, path, star
-from homlattice.oracle import brute_restricted
+from homlattice.oracle import brute_restricted, brute_subgraphs
 from homlattice.permtree import (
     build_gadget,
     check_tree,
@@ -19,7 +19,12 @@ from homlattice.permtree import (
     verify_permanent_identity,
 )
 from homlattice.restrictions import EMB
-from helpers import all_trees, random_tree, reference_tree_center
+from helpers import (
+    all_trees,
+    random_tree,
+    reference_tree_center,
+    reference_tree_embeddings,
+)
 
 EXAMPLE = [
     [1, 0, 1, 0, 0],
@@ -152,6 +157,54 @@ def test_subtree_counts():
     assert count_subtrees(path(3), path(3)) == 1
     assert count_subtrees(path(2), path(4)) == 3
     assert count_subtrees(path(5), path(4)) == 0
+
+
+def test_embeddings_match_reference_search():
+    """Every pair of trees on at most 7 and at most 9 vertices, random
+    pairs up to 14 and 59 vertices, and the identity and a random matrix
+    gadget for n = 5, 6 and 7 in all four directions."""
+    pairs = [(pattern, host) for pattern in all_trees(7)
+             for host in all_trees(9)]
+    assert len(pairs) == 2375
+    rng = random.Random(59)
+    pairs += [(random_tree(rng, rng.randrange(1, 15)),
+               random_tree(rng, rng.randrange(1, 60))) for _ in range(300)]
+    for n in (5, 6, 7):
+        gadgets = [build_gadget(identity_matrix(n)).graph,
+                   build_gadget([[int(rng.random() < 0.6) for _ in range(n)]
+                                 for _ in range(n)]).graph]
+        pairs += [(pattern, host) for pattern in gadgets for host in gadgets]
+    for pattern, host in pairs:
+        assert (count_tree_embeddings(pattern, host)
+                == reference_tree_embeddings(pattern, host))
+
+
+def test_embeddings_match_networkx_monomorphisms():
+    """Between trees a subgraph monomorphism is an embedding."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def nx_graph(graph):
+        out = nx.Graph()
+        out.add_nodes_from(range(graph.n))
+        out.add_edges_from(graph.edges)
+        return out
+
+    rng = random.Random(61)
+    for _ in range(150):
+        pattern = random_tree(rng, rng.randrange(1, 9))
+        host = random_tree(rng, rng.randrange(1, 15))
+        matcher = GraphMatcher(nx_graph(host), nx_graph(pattern))
+        expected = sum(1 for _ in matcher.subgraph_monomorphisms_iter())
+        assert count_tree_embeddings(pattern, host) == expected
+
+
+def test_subtree_counts_match_brute_subgraphs():
+    rng = random.Random(67)
+    for _ in range(80):
+        pattern = random_tree(rng, rng.randrange(1, 6))
+        host = random_tree(rng, rng.randrange(1, 9))
+        assert count_subtrees(pattern, host) == brute_subgraphs(pattern, host)
 
 
 def test_gadget_sizes():
