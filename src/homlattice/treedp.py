@@ -21,9 +21,10 @@ variable narrows the domains of the later ones at once, so a dead branch
 is cut off where it starts. Factors are nested dicts in elimination
 order, so each bucket reads its factors as tries without rebuilding
 them. Buckets of the same shape share one table while it is in use,
-and the last joined bucket adds straight into the count without a table
-(see ``_eliminate``). Counts are arbitrary-precision integers, so hosts
-can be large as long as the width stays small.
+and the last joined bucket adds straight into the count without a table,
+or sums its own shape's table when that one is in use (see
+``_eliminate``). Counts are arbitrary-precision integers, so hosts can be
+large as long as the width stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
@@ -32,9 +33,15 @@ host are each counted once. The memo is keyed by the host and then by
 the component ``Graph``, both matched by identity first and then by
 equality. It holds the ``_MEMO_HOSTS`` most recently used hosts and at
 most ``_MEMO_TERMS`` counts per host, each level least recently used
-first out, so a stream of large hosts cannot pin memory. The host and
-pattern checks run on every call, hit or miss. ``hom_cache_info`` and
-``hom_cache_clear`` report on and empty the memo.
+first out, so a stream of large hosts cannot pin memory. Beside it, each
+host keeps a store of the vector messages of its unary buckets, keyed by
+bucket shape and matched the same way, so the terms counted on one host
+rebuild no vector the store still holds, such as the leaves' degree
+vector. It holds the same ``_MEMO_HOSTS`` hosts and at most
+(n + 2m) // n vectors per host of n vertices and m edges, so never more
+entries than the host's adjacency. The host and pattern checks run on
+every call, hit or miss. ``hom_cache_info`` reports on the count memo,
+and ``hom_cache_clear`` empties both.
 """
 
 from functools import lru_cache
@@ -48,6 +55,18 @@ _MEMO_HOSTS = 4
 _MEMO_TERMS = 1024
 # host -> LRUCache(_MEMO_TERMS) of connected component -> hom count
 _memo = LRUCache(_MEMO_HOSTS)
+# host -> LRUCache((n + 2m) // n) of unary bucket key -> vector message
+_vectors = LRUCache(_MEMO_HOSTS)
+
+
+def _store(cache, host, maxsize):
+    """The host's own ``LRUCache`` in a per-host cache, made with the given
+    bound on the host's first use."""
+    table = cache.get(host)
+    if table is None:
+        table = LRUCache(maxsize)
+        cache.put(host, table)
+    return table
 
 
 def _boundary_size(adj_masks, elim_mask, v):
@@ -334,10 +353,20 @@ def _eliminate(pattern, host, order, width):
     builds its own. The last join bucket, v with a scope that holds every
     vertex left, joins all remaining factors and returns their sum, so
     ``cycle(4)`` and ``cycle(5)``, canonically labelled, tabulate only
-    their common neighbours, once. Unary buckets pass vectors; a tree's
-    root sums its own.
+    their common neighbours, once. If that bucket's own key is live, it
+    sums the live table against the other factors over the scope alone:
+    ``cycle(4)`` sums the square of its common-neighbour table.
+
+    Unary buckets pass vectors; a tree's root sums its own. Keys name no
+    pattern vertex, so equal keys give equal vectors on one host, across
+    patterns too. Every unary bucket with a scope looks its key up in the
+    host's vector store, an ``LRUCache`` of at most (n + 2m) // n vectors
+    (never more entries than the host's adjacency), before it computes
+    the vector and stores it. Root sums are left to the count memo, and
+    wider tables still leave with their last reader.
     """
     adj = host._adj  # the host's own adjacency tuple, not a copy
+    vectors = _store(_vectors, host, (host.n + 2 * host.m) // max(host.n, 1))
     factors = []
     live = {}  # key -> [table, factors holding it]
     position = {u: i for i, u in enumerate(order)}
@@ -351,13 +380,10 @@ def _eliminate(pattern, host, order, width):
             raise AssertionError("elimination scope exceeds the order's width")
         scope = tuple(sorted(scope, key=position.__getitem__))
         unary = len(scope) <= 1 and all(len(f[0]) == 1 for f in bucket)
-        if not unary and len(scope) == len(order) - i - 1:
-            return _join(pattern, adj, v, scope,
-                         [f[:2] for f in factors], summed=True)
         if not scope:
             return _vector_message(pattern, adj, v, scope,
                                    [f[:2] for f in bucket])
-        factors = [f for f in factors if v not in f[0]]
+        rest = [f for f in factors if v not in f[0]]
         variables = (v,) + scope
         level = {u: j for j, u in enumerate(variables)}
         key = (tuple((j, k) for k, u in enumerate(variables)
@@ -371,11 +397,23 @@ def _eliminate(pattern, host, order, width):
             if not entry[1]:
                 del live[f_key]
         entry = live.get(key)
+        if not unary and len(scope) == len(order) - i - 1:
+            if entry is None:
+                return _join(pattern, adj, v, scope,
+                             [f[:2] for f in factors], summed=True)
+            return _join(pattern, adj, scope[0], scope[1:],
+                         [f[:2] for f in rest] + [(scope, entry[0])],
+                         summed=True)
+        factors = rest
         if entry is None:
-            step = _vector_message if unary else _join
-            table = step(pattern, adj, v, scope, [f[:2] for f in bucket])
-            if not table:
-                return 0
+            table = vectors.get(key) if unary else None
+            if table is None:
+                step = _vector_message if unary else _join
+                table = step(pattern, adj, v, scope, [f[:2] for f in bucket])
+                if not table:
+                    return 0
+                if unary:
+                    vectors.put(key, table)
             entry = live[key] = [table, 0]
         entry[1] += 1
         factors.append((scope, entry[0], key))
@@ -396,10 +434,7 @@ def hom_count(pattern, host, limit=None):
     parts = _plan(pattern)[2]
     if not parts:
         return 1
-    counts = _memo.get(host)
-    if counts is None:
-        counts = LRUCache(_MEMO_TERMS)
-        _memo.put(host, counts)
+    counts = _store(_memo, host, _MEMO_TERMS)
     total = 1
     for comp, width, order in parts:
         if comp is None:
@@ -416,7 +451,9 @@ def hom_count(pattern, host, limit=None):
 
 def hom_cache_info():
     """Hits, misses, bound and size of the hom-count memo, over the hosts
-    it holds (a host's counts leave with it)."""
+    it holds (a host's counts leave with it). The per-host vector store
+    beside it, at most (n + 2m) // n vectors on each of the same number
+    of hosts, is not counted here."""
     tables = _memo.values()
     return CacheInfo(sum(t.hits for t in tables),
                      sum(t.misses for t in tables),
@@ -424,5 +461,6 @@ def hom_cache_info():
 
 
 def hom_cache_clear():
-    """Forget every memoised hom count."""
+    """Forget every memoised hom count and every stored vector message."""
     _memo.clear()
+    _vectors.clear()

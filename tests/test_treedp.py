@@ -123,7 +123,9 @@ def test_join_matches_reference_join(monkeypatch):
     sizes = {summed: {len(args[3]) for args, kind, _ in calls
                       if kind == summed}
              for summed in (False, True)}
-    assert sizes == {False: {1, 2, 3}, True: {2, 3, 4}}
+    # A last bucket whose table is live sums that table over its own
+    # scope, so a one-variable scope is summed too.
+    assert sizes == {False: {1, 2, 3}, True: {1, 2, 3, 4}}
     for args, summed, table in calls:
         expected = nonzero_entries(reference_join(*args))
         if summed:  # the last bucket: v and its scope summed out
@@ -191,23 +193,28 @@ def test_tables_stay_within_the_common_neighbour_bound(monkeypatch):
 
     def recorded(*args, summed=False):
         table = join(*args, summed=summed)
-        calls.append((summed, table))
+        calls.append((summed, len(args[3]), table))
         return table
 
     monkeypatch.setattr(treedp, "_join", recorded)
     # Each cycle's two buckets of common neighbours share one table, and
     # the 3-walk table of the last three vertices is never built. (The
     # default labelling of cycle(5) eliminates two adjacent vertices
-    # first, so its second table is the 3-walk table.)
+    # first, so its second table is the 3-walk table.) The canonical
+    # cycle(4)'s last bucket has the shape of its first, so it sums the
+    # square of that live table over a one-variable scope.
     triangles, four, five = _traces(host)
-    for pattern, tabulated, count in [
-            (cycle(4), 1, four), (canonical_representative(cycle(4)), 1, four),
-            (canonical_representative(cycle(5)), 1, five),
-            (clique(3), 0, triangles)]:
+    for pattern, tabulated, last_scope, count in [
+            (cycle(4), 1, 2, four),
+            (canonical_representative(cycle(4)), 1, 1, four),
+            (canonical_representative(cycle(5)), 1, 2, five),
+            (clique(3), 0, 2, triangles)]:
         calls.clear()
         assert hom_count(pattern, host) == count
-        assert [summed for summed, _ in calls] == [False] * tabulated + [True]
-        for _, table in calls[:-1]:
+        assert [summed for summed, _, _ in calls] == (
+            [False] * tabulated + [True])
+        assert calls[-1][1:] == (last_scope, count)
+        for _, _, table in calls[:-1]:
             assert len(nonzero_entries(table)) <= bound
     vector = treedp._vector_message
     messages = []
@@ -345,6 +352,71 @@ def test_memo_is_bounded(monkeypatch):
                 assert all(len(t) <= 3 for t in treedp._memo.values())
     treedp.hom_cache_clear()
     assert treedp.hom_cache_info().currsize == 0
+
+
+def test_warm_vector_store_matches_the_oracles():
+    rng = random.Random(73)
+    patterns = all_trees(7) + graphs_up_to(5)
+    for host in (random_host(rng, 40, 90), random_host(rng, 9, 16)):
+        expected = [nice_dp_count(p, host, decomposition_from_order(
+            p, treewidth_exact(p)[1])) for p in patterns]
+        if host.n < 10:
+            assert expected[-len(graphs_up_to(5)):] == [
+                brute_hom(p, host) for p in graphs_up_to(5)]
+        indices = list(range(len(patterns)))
+        for _ in range(2):  # warm within a pass, cold again in another order
+            treedp.hom_cache_clear()
+            rng.shuffle(indices)
+            for i in indices:
+                assert hom_count(patterns[i], host) == expected[i]
+            assert treedp._vectors.get(host).hits > 0
+        # An equal host object shares the memo and the store.
+        copy = Graph(host.n, list(host.edges))
+        assert [hom_count(p, copy) for p in patterns] == expected
+    # Hosts freed and made again reuse the ids of the freed ones, so a
+    # store keyed by id() would answer for a host it never saw.
+    trees = all_trees(5)
+    for _ in range(150):
+        host = random_graph(rng, rng.randrange(1, 7), 0.5)
+        for tree in trees:
+            assert hom_count(tree, host) == brute_hom(tree, host)
+
+
+def test_vector_store_is_bounded_and_cleared(monkeypatch):
+    rng = random.Random(79)
+    hosts = [random_host(rng, n, m) for n, m in
+             ((7, 6), (8, 12), (9, 20), (10, 30), (12, 11), (6, 15))]
+    for host in hosts:
+        bound = (host.n + 2 * host.m) // host.n
+        for tree in all_trees(7):
+            hom_count(tree, host)
+            assert len(treedp._vectors.get(host)) <= bound
+        assert len(treedp._vectors.get(host)) == bound  # full, evicting
+        assert len(treedp._vectors) <= treedp._MEMO_HOSTS
+    assert len(treedp._vectors) == treedp._MEMO_HOSTS
+    treedp.hom_cache_clear()
+    assert len(treedp._vectors) == 0
+    vector = treedp._vector_message
+    messages = []
+
+    def counted(*args):
+        messages.append(args[3])
+        return vector(*args)
+
+    monkeypatch.setattr(treedp, "_vector_message", counted)
+    host = random_host(rng, 30, 60)
+    middle = [sum(host.degree(y) for y in host.neighbors(x))
+              for x in range(host.n)]
+    # path(4) stores the degree vector and the 2-walk message; path(5),
+    # on the host or on an equal copy of it, needs only its root sum.
+    for second in (host, Graph(host.n, list(host.edges))):
+        treedp.hom_cache_clear()
+        assert hom_count(canonical_representative(path(4)), host) == sum(
+            host.degree(x) * c for x, c in enumerate(middle))
+        messages.clear()
+        assert hom_count(canonical_representative(path(5)), second) == sum(
+            c * c for c in middle)
+        assert messages == [()]
 
 
 def test_memo_hits_still_check_limits():
