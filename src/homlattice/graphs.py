@@ -356,6 +356,7 @@ def _canonical_search(graph):
             chunks.pop()
 
     extend(0, (1 << n) - 1)
+    del extend  # the closure refers to itself
     aut = ties * math.prod(t.bit_count() + 1 for t in lower_twins)
     return (n,) + best_key, best_perm, aut
 

@@ -10,7 +10,7 @@ constraint graphs. Enumerations refuse to start when the search space
 exceeds the budget.
 """
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .errors import BudgetError, HomlatticeError
 from .graphs import Graph, bfs_distances, quotient
@@ -61,6 +61,7 @@ def _hom_search(pattern, host, accept_partial, accept_full):
                 walk(v + 1)
 
     walk(0)
+    del walk  # the closure refers to itself
     return count
 
 
@@ -174,24 +175,13 @@ def brute_restricted_quotient(restriction, pattern, flat, host,
     sep_pairs = sorted({(block_of[u], block_of[v])
                         for u, v in constraint.edges
                         if block_of[u] != block_of[v]})
-    q_edges = sorted(q.edges)
-    count = 0
-    if any(a == b for a, b in q_edges):
+    if any(a == b for a, b in q.edges):
         return 0
 
-    def ok(image):
-        for a, b in q_edges:
-            if not host.has_edge(image[a], image[b]):
-                return False
-        for a, b in sep_pairs:
-            if image[a] == image[b]:
-                return False
-        return True
+    def separated(image):
+        return all(image[a] != image[b] for a, b in sep_pairs)
 
-    for image in product(range(host.n), repeat=q.n):
-        if ok(image):
-            count += 1
-    return count
+    return _hom_search(q, host, lambda v, g, image: True, separated)
 
 
 def permanent_direct(matrix):

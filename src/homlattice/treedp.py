@@ -20,28 +20,27 @@ factors with forward checking (Haralick and Elliott 1980): each assigned
 variable narrows the domains of the later ones at once, so a dead branch
 is cut off where it starts. Factors are nested dicts in elimination
 order, so each bucket reads its factors as tries without rebuilding
-them. Buckets of the same shape share one table while it is in use,
-and the last joined bucket adds straight into the count without a table,
-or sums its own shape's table when that one is in use (see
-``_eliminate``). Counts are arbitrary-precision integers, so hosts can be
-large as long as the width stays small.
+them. Buckets of the same shape share one table while a factor holds
+it, and the last joined bucket adds straight into the count without a
+table (see ``_eliminate``). Counts are arbitrary-precision integers, so
+hosts can be large as long as the width stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
 of disconnected quotients and the entries of a linear combination on one
-host are each counted once. The memo is keyed by the host and then by
-the component ``Graph``, both matched by identity first and then by
-equality. It holds the ``_MEMO_HOSTS`` most recently used hosts and at
-most ``_MEMO_TERMS`` counts per host, each level least recently used
-first out, so a stream of large hosts cannot pin memory. Beside it, each
-host keeps a store of the vector messages of its unary buckets, keyed by
-bucket shape and matched the same way, so the terms counted on one host
-rebuild no vector the store still holds, such as the leaves' degree
-vector. It holds the same ``_MEMO_HOSTS`` hosts and at most
-(n + 2m) // n vectors per host of n vertices and m edges, so never more
-entries than the host's adjacency. The host and pattern checks run on
-every call, hit or miss. ``hom_cache_info`` reports on the count memo,
-and ``hom_cache_clear`` empties both.
+host are each counted once. The memo holds one entry per host, matched
+by identity first and then by equality: the host's counts, keyed by
+component ``Graph`` and matched the same way, and beside them its store
+of the vector messages of its unary buckets, keyed by bucket shape, so
+the terms counted on one host rebuild no vector the store still holds,
+such as the leaves' degree vector. The memo holds the ``_MEMO_HOSTS``
+most recently used hosts; each host at most ``_MEMO_TERMS`` counts and
+(n + 2m) // n vectors for n vertices and m edges, so never more vector
+entries than its adjacency. Every level is least recently used first
+out, so a stream of large hosts cannot pin memory, and a host's counts
+and vectors leave together. The host and pattern checks run on every
+call, hit or miss. ``hom_cache_info`` reports on the counts, and
+``hom_cache_clear`` empties the memo.
 """
 
 from functools import lru_cache
@@ -53,20 +52,20 @@ from .graphs import breadth_first, connected_components
 
 _MEMO_HOSTS = 4
 _MEMO_TERMS = 1024
-# host -> LRUCache(_MEMO_TERMS) of connected component -> hom count
+# host -> (LRUCache(_MEMO_TERMS) of connected component -> hom count,
+#          LRUCache((n + 2m) // n) of unary bucket key -> vector message)
 _memo = LRUCache(_MEMO_HOSTS)
-# host -> LRUCache((n + 2m) // n) of unary bucket key -> vector message
-_vectors = LRUCache(_MEMO_HOSTS)
 
 
-def _store(cache, host, maxsize):
-    """The host's own ``LRUCache`` in a per-host cache, made with the given
-    bound on the host's first use."""
-    table = cache.get(host)
-    if table is None:
-        table = LRUCache(maxsize)
-        cache.put(host, table)
-    return table
+def _host_caches(host):
+    """The host's (counts, vectors) pair in ``_memo``, made on the host's
+    first use."""
+    caches = _memo.get(host)
+    if caches is None:
+        caches = (LRUCache(_MEMO_TERMS),
+                  LRUCache((host.n + 2 * host.m) // max(host.n, 1)))
+        _memo.put(host, caches)
+    return caches
 
 
 def _boundary_size(adj_masks, elim_mask, v):
@@ -321,6 +320,7 @@ def _join(pattern, adj, v, scope, bucket, summed=False):
                     row[y] = row.get(y, 0) + c
 
     extend(0, 1, domains)
+    del extend  # the closure refers to itself; free its slots now
     if summed:
         return total
     if last > 1:
@@ -347,28 +347,27 @@ def _eliminate(pattern, host, order, width):
     vertices: the pattern edges among v and its scope as level pairs, and
     the sorted (key, levels) of the bucket's factors. Every scope variable
     is v's neighbour or in one of those factors, so equal keys give equal
-    tables, and a bucket whose key is live takes that table as it is.
-    ``live`` counts the factors sharing each table and drops it with the
-    last of them, so no more tables are held than when every bucket
+    tables, and a bucket whose key a remaining factor holds takes that
+    factor's table as it is. A table is freed when the last factor
+    holding it leaves, so no more tables are held than when every bucket
     builds its own. The last join bucket, v with a scope that holds every
     vertex left, joins all remaining factors and returns their sum, so
     ``cycle(4)`` and ``cycle(5)``, canonically labelled, tabulate only
-    their common neighbours, once. If that bucket's own key is live, it
-    sums the live table against the other factors over the scope alone:
-    ``cycle(4)`` sums the square of its common-neighbour table.
+    their common neighbours, once. If that bucket's key is held too, it
+    shares the table like any other bucket, and the next vertex's bucket
+    sums it against the rest: ``cycle(4)`` sums the square of its
+    common-neighbour table.
 
     Unary buckets pass vectors; a tree's root sums its own. Keys name no
     pattern vertex, so equal keys give equal vectors on one host, across
     patterns too. Every unary bucket with a scope looks its key up in the
-    host's vector store, an ``LRUCache`` of at most (n + 2m) // n vectors
-    (never more entries than the host's adjacency), before it computes
-    the vector and stores it. Root sums are left to the count memo, and
-    wider tables still leave with their last reader.
+    host's vector store (see ``_host_caches``) before it computes the
+    vector and stores it. Root sums are left to the count memo, and wider
+    tables still leave with their last reader.
     """
     adj = host._adj  # the host's own adjacency tuple, not a copy
-    vectors = _store(_vectors, host, (host.n + 2 * host.m) // max(host.n, 1))
+    vectors = _host_caches(host)[1]
     factors = []
-    live = {}  # key -> [table, factors holding it]
     position = {u: i for i, u in enumerate(order)}
     for i, v in enumerate(order):
         bucket = [f for f in factors if v in f[0]]
@@ -379,11 +378,9 @@ def _eliminate(pattern, host, order, width):
         if len(scope) > width:
             raise AssertionError("elimination scope exceeds the order's width")
         scope = tuple(sorted(scope, key=position.__getitem__))
-        unary = len(scope) <= 1 and all(len(f[0]) == 1 for f in bucket)
         if not scope:
             return _vector_message(pattern, adj, v, scope,
                                    [f[:2] for f in bucket])
-        rest = [f for f in factors if v not in f[0]]
         variables = (v,) + scope
         level = {u: j for j, u in enumerate(variables)}
         key = (tuple((j, k) for k, u in enumerate(variables)
@@ -391,21 +388,12 @@ def _eliminate(pattern, host, order, width):
                      if variables[j] in pattern.neighbors(u)),
                tuple(sorted((f_key, tuple(map(level.__getitem__, f_scope)))
                             for f_scope, _, f_key in bucket)))
-        for _, _, f_key in bucket:
-            entry = live[f_key]
-            entry[1] -= 1
-            if not entry[1]:
-                del live[f_key]
-        entry = live.get(key)
-        if not unary and len(scope) == len(order) - i - 1:
-            if entry is None:
+        table = next((t for _, t, k in factors if k == key), None)
+        if table is None:
+            unary = len(scope) == 1 and all(len(f[0]) == 1 for f in bucket)
+            if not unary and len(scope) == len(order) - i - 1:
                 return _join(pattern, adj, v, scope,
                              [f[:2] for f in factors], summed=True)
-            return _join(pattern, adj, scope[0], scope[1:],
-                         [f[:2] for f in rest] + [(scope, entry[0])],
-                         summed=True)
-        factors = rest
-        if entry is None:
             table = vectors.get(key) if unary else None
             if table is None:
                 step = _vector_message if unary else _join
@@ -414,9 +402,8 @@ def _eliminate(pattern, host, order, width):
                     return 0
                 if unary:
                     vectors.put(key, table)
-            entry = live[key] = [table, 0]
-        entry[1] += 1
-        factors.append((scope, entry[0], key))
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((scope, table, key))
 
 
 def hom_count(pattern, host, limit=None):
@@ -434,7 +421,7 @@ def hom_count(pattern, host, limit=None):
     parts = _plan(pattern)[2]
     if not parts:
         return 1
-    counts = _store(_memo, host, _MEMO_TERMS)
+    counts = _host_caches(host)[0]
     total = 1
     for comp, width, order in parts:
         if comp is None:
@@ -451,16 +438,15 @@ def hom_count(pattern, host, limit=None):
 
 def hom_cache_info():
     """Hits, misses, bound and size of the hom-count memo, over the hosts
-    it holds (a host's counts leave with it). The per-host vector store
-    beside it, at most (n + 2m) // n vectors on each of the same number
-    of hosts, is not counted here."""
-    tables = _memo.values()
-    return CacheInfo(sum(t.hits for t in tables),
-                     sum(t.misses for t in tables),
-                     _MEMO_HOSTS * _MEMO_TERMS, sum(map(len, tables)))
+    it holds (a host's counts leave with it). The vector store each host
+    keeps beside its counts, at most (n + 2m) // n vectors, is not
+    counted here."""
+    counts = [c for c, _ in _memo.values()]
+    return CacheInfo(sum(c.hits for c in counts),
+                     sum(c.misses for c in counts),
+                     _MEMO_HOSTS * _MEMO_TERMS, sum(map(len, counts)))
 
 
 def hom_cache_clear():
     """Forget every memoised hom count and every stored vector message."""
     _memo.clear()
-    _vectors.clear()

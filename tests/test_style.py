@@ -35,3 +35,40 @@ def test_package_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert "functools" in imported
     assert imported - allowed == set()
+
+
+def _nested_functions(function):
+    """The functions defined in function's own body, not deeper."""
+    found = []
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node)
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_recursive_closures_are_deleted():
+    """A nested function that calls itself holds a reference to itself
+    through its closure, so it and everything it reaches stay alive until
+    the cyclic collector runs. Its enclosing function must ``del`` it
+    once done, so reference counting frees them at once."""
+    kept = []
+    for source in sorted((ROOT / "src/homlattice").rglob("*.py")):
+        for outer in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            deleted = {target.id for node in ast.walk(outer)
+                       if isinstance(node, ast.Delete)
+                       for target in node.targets
+                       if isinstance(target, ast.Name)}
+            for inner in _nested_functions(outer):
+                calls = {node.func.id for node in ast.walk(inner)
+                         if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)}
+                if inner.name in calls and inner.name not in deleted:
+                    kept.append(f"{source.relative_to(ROOT)}:"
+                                f"{outer.name}.{inner.name}")
+    assert kept == []

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -172,6 +174,13 @@ def test_eliminate_matches_reference_eliminate():
     order = (2, 3, 5, 6, 0, 4, 1)
     assert (treedp._eliminate(graph, small, order, 7)
             == reference_eliminate(graph, small, order, 7))
+    # Buckets 0 and 1 share one triangle table, and buckets 2 and 3 one
+    # vector summed from it: 3 is the last join bucket, its scope is 4
+    # alone, and the root sums the shared vector's square.
+    graph = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)])
+    order = (0, 1, 2, 3, 4)
+    assert (treedp._eliminate(graph, small, order, 5)
+            == reference_eliminate(graph, small, order, 5))
     uniform = random_host(rng, 300, 600)
     # A hub joined to every other vertex makes the widest tables.
     hub = Graph(40, set(random_host(rng, 40, 80).edges)
@@ -231,6 +240,40 @@ def test_tables_stay_within_the_common_neighbour_bound(monkeypatch):
     pattern = canonical_representative(path(5))
     assert hom_count(pattern, host) == sum(c * c for c in middle)
     assert len(messages) == 3
+
+
+def test_join_tables_leave_with_their_last_reader(monkeypatch):
+    """Tables are freed by reference counting alone: with the cyclic
+    collector off, each ``_join`` call finds at most one table over two
+    or more variables alive, the one its own bucket reads. A recursive
+    closure kept alive by its own reference would hold a finished join's
+    input tables until the collector ran."""
+    host = random_host(random.Random(67), 300, 900)
+    join = treedp._join
+    tables = []
+    alive = []
+
+    class Table(dict):  # a dict that takes weak references
+        pass
+
+    def tracked(*args, summed=False):
+        alive.append(sum(ref() is not None for ref in tables))
+        table = join(*args, summed=summed)
+        if isinstance(table, dict):
+            table = Table(table)
+            tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(treedp, "_join", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        for pattern in (cycle(6), cycle(7)):
+            alive.clear()
+            assert hom_count(pattern, host) > 0
+            assert len(alive) > 2 and max(alive) == 1
+    finally:
+        gc.enable()
 
 
 def _traces(host):
@@ -349,7 +392,7 @@ def test_memo_is_bounded(monkeypatch):
                 info = treedp.hom_cache_info()
                 assert info.currsize <= info.maxsize == treedp._MEMO_HOSTS * 3
                 assert len(treedp._memo) <= treedp._MEMO_HOSTS
-                assert all(len(t) <= 3 for t in treedp._memo.values())
+                assert all(len(c) <= 3 for c, _ in treedp._memo.values())
     treedp.hom_cache_clear()
     assert treedp.hom_cache_info().currsize == 0
 
@@ -369,7 +412,7 @@ def test_warm_vector_store_matches_the_oracles():
             rng.shuffle(indices)
             for i in indices:
                 assert hom_count(patterns[i], host) == expected[i]
-            assert treedp._vectors.get(host).hits > 0
+            assert treedp._memo.get(host)[1].hits > 0
         # An equal host object shares the memo and the store.
         copy = Graph(host.n, list(host.edges))
         assert [hom_count(p, copy) for p in patterns] == expected
@@ -390,12 +433,12 @@ def test_vector_store_is_bounded_and_cleared(monkeypatch):
         bound = (host.n + 2 * host.m) // host.n
         for tree in all_trees(7):
             hom_count(tree, host)
-            assert len(treedp._vectors.get(host)) <= bound
-        assert len(treedp._vectors.get(host)) == bound  # full, evicting
-        assert len(treedp._vectors) <= treedp._MEMO_HOSTS
-    assert len(treedp._vectors) == treedp._MEMO_HOSTS
+            assert len(treedp._memo.get(host)[1]) <= bound
+        assert len(treedp._memo.get(host)[1]) == bound  # full, evicting
+        assert len(treedp._memo) <= treedp._MEMO_HOSTS
+    assert len(treedp._memo) == treedp._MEMO_HOSTS
     treedp.hom_cache_clear()
-    assert len(treedp._vectors) == 0
+    assert len(treedp._memo) == 0
     vector = treedp._vector_message
     messages = []
 
@@ -425,9 +468,10 @@ def test_memo_hits_still_check_limits():
     with pytest.raises(PatternSizeError):
         hom_count(path(13), host)
     loopy = Graph(3, [(0, 0), (0, 1), (1, 2)], selfloops_allowed=True)
-    table = LRUCache(treedp._MEMO_TERMS)
-    table.put(path(2), 1)
-    treedp._memo.put(loopy, table)  # a planted entry must not answer
+    counts = LRUCache(treedp._MEMO_TERMS)
+    counts.put(path(2), 1)
+    # A planted entry must not answer.
+    treedp._memo.put(loopy, (counts, LRUCache(1)))
     for pattern in (path(2), Graph(1), Graph(0)):
         with pytest.raises(HostError):
             hom_count(pattern, loopy)
