@@ -22,6 +22,7 @@ pruning keeps one leaf per coset of that within-class group.
 """
 
 import math
+from operator import index
 
 from .errors import PartitionError, ensure_pattern_size
 
@@ -66,14 +67,14 @@ class Graph(_Value):
     _fields = ("n", "edges")
 
     def __init__(self, n, edges=(), selfloops_allowed=False):
-        n = int(n)
+        n = index(n)  # an int or integer-like; 2.7 raises TypeError
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         normalized = set()
         adj = [set() for _ in range(n)]
         loops = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:

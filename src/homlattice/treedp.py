@@ -22,8 +22,13 @@ is cut off where it starts. Factors are nested dicts in elimination
 order, so each bucket reads its factors as tries without rebuilding
 them. Buckets of the same shape share one table while a factor holds
 it, and the last joined bucket adds straight into the count without a
-table (see ``_eliminate``). Counts are arbitrary-precision integers, so
-hosts can be large as long as the width stays small.
+table (see ``_eliminate``). That last join counts each orbit of its
+interchangeable levels once: twin levels, which a swap leaves the bucket
+unchanged under, take their images in non-decreasing order, and each
+assignment weighs as many as its orbit holds (see ``_twins`` and
+``_join``), so the triangle meets each host edge in one direction only.
+Counts are arbitrary-precision integers, so hosts can be large as long
+as the width stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
@@ -44,6 +49,7 @@ call, hit or miss. ``hom_cache_info`` reports on the counts, and
 """
 
 from functools import lru_cache
+from math import factorial
 from operator import mul
 
 from .cache import CacheInfo, LRUCache
@@ -182,6 +188,58 @@ def treewidth_exact(graph, limit=None):
     return _plan(graph)[:2]
 
 
+@lru_cache(maxsize=1024)
+def _twins(key):
+    """Classes of interchangeable levels of the bucket that ``key``
+    describes (see ``_eliminate``): sorted tuples of two or more levels.
+
+    Levels i and j are twins when swapping them maps the bucket's pattern
+    edges onto themselves and its factors onto its factors with equal
+    keys, each factor's levels read up to its own table's symmetric
+    positions. A table's positions are the levels after the first of the
+    bucket that built it, and two are symmetric when they are twins there:
+    the swap fixes the summed variable, so it leaves the table unchanged.
+    The permutations that pass form a group, so twinship is an
+    equivalence and every permutation within a class leaves the bucket
+    unchanged. The test is sufficient, not necessary: it may miss a
+    symmetry, never invent one. Keys name no host, so the classes are
+    cached per key, like ``_plan``.
+    """
+    edges, held = key
+    size = 1 + max(max(levels) for levels in edges + tuple(
+        levels for _, levels in held))
+    # A table's position q is level q + 1 of the bucket that built it.
+    positions = {f_key: [group for group in (
+        tuple(j - 1 for j in levels if j) for levels in _twins(f_key))
+        if len(group) > 1] for f_key, _ in held}
+
+    def shape(perm):
+        moved = []
+        for f_key, levels in held:
+            levels = [perm[j] for j in levels]
+            for group in positions[f_key]:
+                for q, j in zip(group, sorted(levels[q] for q in group)):
+                    levels[q] = j
+            moved.append((f_key, tuple(levels)))
+        return (sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges),
+                sorted(moved))
+
+    same = shape(range(size))
+    classes = []
+    for i in range(size):
+        if any(i in levels for levels in classes):
+            continue
+        levels = [i]
+        for j in range(i + 1, size):
+            perm = list(range(size))
+            perm[i], perm[j] = j, i
+            if shape(perm) == same:
+                levels.append(j)
+        if len(levels) > 1:
+            classes.append(tuple(levels))
+    return tuple(classes)
+
+
 def _vector_message(pattern, adj, v, scope, bucket):
     """Sum v out of a bucket of unary factors with at most one neighbour
     left: msg[y] is the sum over host neighbours x of y of the product of
@@ -198,7 +256,7 @@ def _vector_message(pattern, adj, v, scope, bucket):
     return [sum(map(at, near)) for near in adj]
 
 
-def _join(pattern, adj, v, scope, bucket, summed=False):
+def _join(pattern, adj, v, scope, bucket, summed=False, twins=()):
     """Sum v out of a bucket by one join over v and then the scope, with
     forward checking (Haralick and Elliott 1980).
 
@@ -223,6 +281,21 @@ def _join(pattern, adj, v, scope, bucket, summed=False):
     summed out too, so it returns the total; the bucket may then hold
     factors without v. A factor whose scope is not in elimination order
     would be read along the wrong levels, so it raises ``AssertionError``.
+
+    ``twins``, given with ``summed`` only, holds the bucket's classes of
+    interchangeable levels (see ``_twins``), and the join counts once per
+    orbit of their permutations. Each class takes its images in
+    non-decreasing order, a filter over the domain that leaves the loop
+    over the images as it is, and each assignment weighs c! / (m1! m2!
+    ...) for a class of c levels whose images repeat m1, m2, ... times.
+    That is exact: permuting a class leaves the bucket unchanged, and the
+    orbit of each assignment under those permutations holds exactly one
+    non-decreasing member and that many members in all. Adjacent twins
+    never share an image on a loop-free host, so they weigh c!. The last
+    level stays out of its class, so it is still summed in one pass over
+    its domain: a bound there would cost a pass of its own and save none
+    of the narrowing before it. A tie runs in a call of its own, so a
+    level without a twin runs the same loop as without orbits.
     """
     variables = (v,) + scope
     last = len(scope)
@@ -255,6 +328,16 @@ def _join(pattern, adj, v, scope, bucket, summed=False):
         domains[levels[0]] = top if d is None else d & top
     if domains[0] is None:
         domains[0] = range(len(adj))
+    # below[i]: the twin before level i in its class, whose image bounds
+    # i's from below. The last level stays out of its class, so its sum
+    # stays one pass.
+    below = [None] * last
+    weight = 1
+    for levels in twins:
+        levels = [i for i in levels if i < last]
+        for j, i in zip(levels, levels[1:]):
+            below[i] = j
+        weight *= factorial(len(levels))
     total = 0
     if not scope:  # unary factors only: sum v out directly
         for x in domains[0]:
@@ -267,9 +350,22 @@ def _join(pattern, adj, v, scope, bucket, summed=False):
     image = [0] * last
     out = {}
 
-    def extend(i, weight, given):
+    def extend(i, weight, given, tied=False):
         nonlocal total
-        for x in given[i]:
+        domain = given[i]
+        j = below[i]
+        if j is not None and not tied:  # images above its twin's only
+            p = image[j]
+            if p in domain:  # never for adjacent twins: p is not near p
+                # Or p itself, alone: a run of r equal images weighs 1/r!.
+                run = 2
+                while below[j] is not None and image[below[j]] == p:
+                    run, j = run + 1, below[j]
+                alone = given[:]
+                alone[i] = (p,)
+                extend(i, weight // run, alone, True)
+            domain = filter(p.__lt__, domain)
+        for x in domain:
             narrowed = given[:]
             for j, s in checks[i]:
                 if s is None:
@@ -319,7 +415,7 @@ def _join(pattern, adj, v, scope, bucket, summed=False):
                         c *= slots[s][y]
                     row[y] = row.get(y, 0) + c
 
-    extend(0, 1, domains)
+    extend(0, weight, domains)
     del extend  # the closure refers to itself; free its slots now
     if summed:
         return total
@@ -356,7 +452,8 @@ def _eliminate(pattern, host, order, width):
     their common neighbours, once. If that bucket's key is held too, it
     shares the table like any other bucket, and the next vertex's bucket
     sums it against the rest: ``cycle(4)`` sums the square of its
-    common-neighbour table.
+    common-neighbour table. The last join takes the twin classes of its
+    whole bucket, that key over every remaining factor (see ``_twins``).
 
     Unary buckets pass vectors; a tree's root sums its own. Keys name no
     pattern vertex, so equal keys give equal vectors on one host, across
@@ -392,8 +489,12 @@ def _eliminate(pattern, host, order, width):
         if table is None:
             unary = len(scope) == 1 and all(len(f[0]) == 1 for f in bucket)
             if not unary and len(scope) == len(order) - i - 1:
+                whole = (key[0], tuple(sorted(
+                    (f_key, tuple(map(level.__getitem__, f_scope)))
+                    for f_scope, _, f_key in factors)))
                 return _join(pattern, adj, v, scope,
-                             [f[:2] for f in factors], summed=True)
+                             [f[:2] for f in factors], summed=True,
+                             twins=_twins(whole))
             table = vectors.get(key) if unary else None
             if table is None:
                 step = _vector_message if unary else _join

@@ -58,6 +58,16 @@ def iso_classes(n):
 
 
 @lru_cache(maxsize=None)
+def atlas():
+    """Every graph with at most 7 vertices, one per isomorphism class, as
+    networkx's atlas lists them: the empty graph first."""
+    import networkx as nx
+
+    return tuple(Graph(g.number_of_nodes(), g.edges())
+                 for g in nx.graph_atlas_g())
+
+
+@lru_cache(maxsize=None)
 def graphs_up_to(n):
     out = []
     for size in range(1, n + 1):

@@ -31,8 +31,8 @@ from homlattice.graphs import (
     windmill_parts,
 )
 from homlattice.treedp import hom_count
-from helpers import (iso_classes, random_graph, reference_canonical_search,
-                     reference_count_automorphisms)
+from helpers import (atlas, iso_classes, random_graph,
+                     reference_canonical_search, reference_count_automorphisms)
 
 
 def test_basic_accessors():
@@ -51,6 +51,25 @@ def test_selfloops_rejected_unless_allowed():
     g = Graph(2, [(0, 0), (0, 1)], selfloops_allowed=True)
     assert g.loops() == {0}
     assert not g.is_loop_free()
+
+
+def test_non_integral_input_rejected():
+    # int() would truncate these to Graph(2) and the edge (0, 1).
+    for n, edges in [(2.7, ()), (3, [(0, 1.9)]), (3, [(0.0, 1)]),
+                     ("3", ()), (3, [("0", 1)])]:
+        with pytest.raises(TypeError):
+            Graph(n, edges)
+
+    class Vertex:  # an integer-like type, as numpy's are
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    g = Graph(Vertex(3), [(Vertex(2), Vertex(0))])
+    assert g == Graph(3, [(0, 2)]) and type(g.n) is int
+    assert type(next(iter(g.edges))[0]) is int
 
 
 def test_quotient_path_endpoints():
@@ -195,14 +214,6 @@ def test_fields_are_read_only():
     assert hom_count(g, clique(4)) == 36
 
 
-def _atlas():
-    """Every graph with at most 7 vertices."""
-    import networkx as nx
-
-    return [Graph(g.number_of_nodes(), g.edges())
-            for g in nx.graph_atlas_g()]
-
-
 def _loopy_quotients(rng, graphs):
     """Quotients of every fourth graph that carry a selfloop."""
     loopy = []
@@ -218,7 +229,7 @@ def test_twin_pruning_keeps_key_and_witness():
     """The pruned search returns the reference search's key and witness
     permutation on every graph with at most 7 vertices, on random
     8-vertex graphs and on quotients that carry selfloops."""
-    graphs = _atlas()
+    graphs = list(atlas())
     rng = random.Random(61)
     graphs += [random_graph(rng, 8, rng.choice((0.2, 0.5, 0.8)))
                for _ in range(150)]
@@ -233,7 +244,7 @@ def test_automorphism_counts_match_the_backtracker():
     """The tie count agrees with listing the automorphisms one by one on
     every graph with at most 7 vertices, a random relabelling of each,
     quotients that carry selfloops and random 8-9-vertex graphs."""
-    graphs = _atlas()
+    graphs = list(atlas())
     rng = random.Random(67)
     for g in list(graphs):
         perm = list(range(g.n))
@@ -255,7 +266,7 @@ def test_automorphism_counts_match_networkx():
     import networkx as nx
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    graphs = [g for g in _atlas() if g.n <= 6]
+    graphs = [g for g in atlas() if g.n <= 6]
     loopy = _loopy_quotients(random.Random(71), graphs)
     assert len(loopy) > 20
     for g in graphs + loopy:

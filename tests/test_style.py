@@ -72,3 +72,35 @@ def test_recursive_closures_are_deleted():
                     kept.append(f"{source.relative_to(ROOT)}:"
                                 f"{outer.name}.{inner.name}")
     assert kept == []
+
+
+def _decorator_name(node):
+    """The name a decorator calls or is, such as ``lru_cache`` for
+    ``@functools.lru_cache(maxsize=8)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_function_caches_are_bounded():
+    """Every ``lru_cache`` under src/homlattice names an integer maxsize,
+    so no cache grows for the life of the process; ``functools.cache``,
+    a bare ``@lru_cache`` and ``maxsize=None`` are unbounded."""
+    unbounded = []
+    for source in sorted((ROOT / "src/homlattice").rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in node.decorator_list:
+                if _decorator_name(deco) not in ("lru_cache", "cache"):
+                    continue
+                sizes = [] if not isinstance(deco, ast.Call) else (
+                    deco.args[:1] + [k.value for k in deco.keywords
+                                     if k.arg == "maxsize"])
+                if not any(isinstance(size, ast.Constant)
+                           and type(size.value) is int for size in sizes):
+                    unbounded.append(f"{source.relative_to(ROOT)}:"
+                                     f"{node.name}")
+    assert unbounded == []

@@ -14,7 +14,8 @@ from homlattice.graphs import (Graph, biclique, canonical_representative,
 from homlattice.oracle import brute_hom, brute_restricted
 from homlattice.restrictions import EMB, LI, locally_injective
 from homlattice.treedp import hom_count, treewidth_exact
-from helpers import (TreeDecomposition, all_trees, decomposition_from_order,
+from helpers import (TreeDecomposition, all_trees, atlas,
+                     decomposition_from_order,
                      graphs_up_to, make_nice, nice_dp_count, nonzero_entries,
                      random_graph, random_host, random_tree,
                      reference_eliminate, reference_join,
@@ -113,9 +114,9 @@ def test_join_matches_reference_join(monkeypatch):
     join = treedp._join
     calls = []
 
-    def recorded(*args, summed=False):
-        table = join(*args, summed=summed)
-        calls.append((args, summed, table))
+    def recorded(*args, **kwargs):
+        table = join(*args, **kwargs)
+        calls.append((args, kwargs.get("summed", False), table))
         return table
 
     monkeypatch.setattr(treedp, "_join", recorded)
@@ -134,6 +135,99 @@ def test_join_matches_reference_join(monkeypatch):
             assert table == sum(expected.values())
         else:
             assert nonzero_entries(table) == expected
+
+
+def _summed_joins(monkeypatch):
+    """Record each summed join's arguments, twin classes and total."""
+    join = treedp._join
+    calls = []
+
+    def recorded(*args, **kwargs):
+        table = join(*args, **kwargs)
+        if kwargs.get("summed"):
+            calls.append((args, kwargs["twins"], table))
+        return table
+
+    monkeypatch.setattr(treedp, "_join", recorded)
+    return calls
+
+
+def test_summed_joins_match_reference_join_on_dense_hosts(monkeypatch):
+    """Every graph with at most 7 vertices, randomly relabelled, on K6 and
+    on random graphs at p = 0.9: dense enough that twins which are not
+    adjacent often share an image, so ties are weighed too. The join
+    without orbits counts every ordering of the twins."""
+    rng = random.Random(83)
+    hosts = [clique(6)] + [random_graph(rng, 7, 0.9) for _ in range(3)]
+    calls = _summed_joins(monkeypatch)
+    for k, pattern in enumerate(atlas()):
+        perm = list(range(pattern.n))
+        rng.shuffle(perm)
+        treedp.hom_cache_clear()
+        hom_count(pattern.relabeled(perm), hosts[k % len(hosts)])
+    loose = 0  # summed joins whose twins may tie, below the last level
+    for (pattern, adj, v, scope, bucket), twins, total in calls:
+        variables = (v,) + scope
+        loose += any(len([j for j in levels if j < len(scope)]) > 1
+                     and variables[levels[1]] not in pattern.neighbors(
+                         variables[levels[0]]) for levels in twins)
+        assert total == sum(nonzero_entries(
+            reference_join(pattern, adj, v, scope, bucket)).values())
+    assert len(calls) > 1000 and sum(bool(t) for _, t, _ in calls) > 400
+    assert loose > 80
+
+
+def test_orbit_shapes_and_work(monkeypatch):
+    """The canonical K3's summed bucket is one class of three, the
+    canonical cycle(4) sums a table symmetric in its two positions, and
+    the canonical cycle(7)'s last join has no twins. The K3 join keeps
+    its last level out of the class, so it weighs each increasing pair of
+    images 2! and examines each host edge once at level 1, where every
+    ordering of the twins took both of its directions."""
+    host = random_host(random.Random(89), 200, 600)
+    calls = _summed_joins(monkeypatch)
+    keys = []
+    twins_of = treedp._twins
+    monkeypatch.setattr(treedp, "_twins",
+                        lambda key: keys.append(key) or twins_of(key))
+    triangles, four, _ = _traces(host)
+    shapes = {}
+    for pattern, count, twins in [(clique(3), triangles, ((0, 1, 2),)),
+                                  (cycle(4), four, ((0, 1),)),
+                                  (cycle(7), None, ())]:
+        calls.clear()
+        keys.clear()
+        treedp.hom_cache_clear()
+        total = hom_count(canonical_representative(pattern), host)
+        assert count in (None, total)
+        assert [t for _, t, _ in calls] == [twins]
+        shapes[pattern] = calls[0], keys[0]
+    # Both factors of the canonical cycle(4)'s summed bucket hold its one
+    # common-neighbour table on levels (0, 1); the swap reads it as
+    # T(1, 0), which its symmetric positions make T(0, 1).
+    (table_key, levels), = set(shapes[cycle(4)][1][1])
+    assert levels == (0, 1)
+    assert table_key == (((0, 1), (0, 2)), ())  # v adjacent to both
+    assert twins_of(table_key) == ((1, 2),)
+
+    class Counted(frozenset):
+        """A neighbourhood that records the images tested against it."""
+
+        def isdisjoint(self, other):
+            examined.append(other)
+            return frozenset.isdisjoint(self, other)
+
+    examined = []
+    adj = tuple(map(Counted, host._adj))
+    assert min(map(len, adj)) > 0
+    (pattern, _, v, scope, bucket), twins, total = shapes[clique(3)][0]
+    # Level 0 leaves level 2 the neighbourhood of its image, and each
+    # level-1 image that level 1 takes is tested against it once.
+    for classes, images in [(twins, host.m), ((), 2 * host.m)]:
+        examined.clear()
+        assert treedp._join(pattern, adj, v, scope, bucket, summed=True,
+                            twins=classes) == total
+        assert len(examined) == images
 
 
 def _both_eliminations(graph, host):
@@ -200,9 +294,9 @@ def test_tables_stay_within_the_common_neighbour_bound(monkeypatch):
     join = treedp._join
     calls = []
 
-    def recorded(*args, summed=False):
-        table = join(*args, summed=summed)
-        calls.append((summed, len(args[3]), table))
+    def recorded(*args, **kwargs):
+        table = join(*args, **kwargs)
+        calls.append((kwargs.get("summed", False), len(args[3]), table))
         return table
 
     monkeypatch.setattr(treedp, "_join", recorded)
@@ -256,9 +350,9 @@ def test_join_tables_leave_with_their_last_reader(monkeypatch):
     class Table(dict):  # a dict that takes weak references
         pass
 
-    def tracked(*args, summed=False):
+    def tracked(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in tables))
-        table = join(*args, summed=summed)
+        table = join(*args, **kwargs)
         if isinstance(table, dict):
             table = Table(table)
             tables.append(weakref.ref(table))
@@ -514,10 +608,10 @@ def test_plan_orders_match_the_subset_dp(monkeypatch):
     join = treedp._join
     joined = []
 
-    def checked(*args, summed=False):
-        table = join(*args, summed=summed)
+    def checked(*args, **kwargs):
+        table = join(*args, **kwargs)
         expected = nonzero_entries(reference_join(*args))
-        if summed:
+        if kwargs.get("summed"):
             assert table == sum(expected.values())
         else:
             assert nonzero_entries(table) == expected
