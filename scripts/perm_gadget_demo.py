@@ -10,8 +10,10 @@ otherwise a built-in 5x5 sample is used.
 import argparse
 import sys
 from collections import Counter
+from pathlib import Path
 
-sys.path.insert(0, "src")
+# The package's sources, wherever the script is run from.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from homlattice.oracle import permanent_ryser
 from homlattice.permtree import (

@@ -67,20 +67,24 @@ _ORACLE = ("brute_hom", "brute_restricted", "brute_restricted_quotient",
 _PERMTREE = ("GadgetTree", "build_gadget", "count_subtrees",
              "count_tree_embeddings", "identity_matrix",
              "tree_automorphism_count", "verify_permanent_identity")
+_SUBMODULES = ("oracle", "permtree")
 __all__ = [name for name in globals() if not name.startswith("_")]
 __all__ += _ORACLE + _PERMTREE
 
 
 def __getattr__(name):
-    if name in _ORACLE:
-        from . import oracle as module
-    elif name in _PERMTREE:
-        from . import permtree as module
+    # A plain import of the submodule: ``from . import`` would look the
+    # submodule's name up here first, and so call this hook again.
+    if name in _ORACLE or name == "oracle":
+        import homlattice.oracle as module
+    elif name in _PERMTREE or name == "permtree":
+        import homlattice.permtree as module
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(module, name)
+    value = module if name in _SUBMODULES else getattr(module, name)
+    globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *_ORACLE, *_PERMTREE})
+    return sorted({*globals(), *_ORACLE, *_PERMTREE, *_SUBMODULES})

@@ -15,20 +15,22 @@ eliminated, is summed over the host's vertices into one factor on the
 remaining neighbours. No scope exceeds the order's width, so a term
 costs |V(host)|^(width+1) at most. Buckets of width one pass
 length-|V(host)| vectors along host adjacency; a tree's leaves pass
-their host degrees without reading the adjacency. Wider buckets join their
-factors with forward checking (Haralick and Elliott 1980): each assigned
-variable narrows the domains of the later ones at once, so a dead branch
-is cut off where it starts. Factors are nested dicts in elimination
-order, so each bucket reads its factors as tries without rebuilding
-them. Buckets of the same shape share one table while a factor holds
-it, and the last joined bucket adds straight into the count without a
-table (see ``_eliminate``). That last join counts each orbit of its
-interchangeable levels once: twin levels, which a swap leaves the bucket
-unchanged under, take their images in non-decreasing order, and each
-assignment weighs as many as its orbit holds (see ``_twins`` and
-``_join``), so the triangle meets each host edge in one direction only.
-Counts are arbitrary-precision integers, so hosts can be large as long
-as the width stays small.
+their host degrees without reading the adjacency. Wider buckets run one
+kernel per bucket shape, written as Python source and compiled on the
+shape's first use (see ``_kernel``): a nested loop per variable, with
+forward checking (Haralick and Elliott 1980) unrolled into
+``isdisjoint`` and ``&`` on named locals, so each image narrows the
+domains of the later variables at once and a dead branch is cut off
+where it starts. Factors are nested dicts in elimination order, which
+a kernel descends as tries. Buckets of the same shape share one table
+while a factor holds it, and the last joined bucket adds straight into
+the count without a table (see ``_eliminate``). That last join counts
+each orbit of its interchangeable levels once: twin levels, which a
+swap leaves the bucket unchanged under, take their images in
+non-decreasing order, and each assignment weighs as many as its orbit
+holds (see ``_twins`` and ``_source``), so the triangle meets each host
+edge in one direction only. Counts are arbitrary-precision integers, so
+hosts can be large as long as the width stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
@@ -48,7 +50,7 @@ call, hit or miss. ``hom_cache_info`` reports on the counts, and
 ``hom_cache_clear`` empties the memo.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
 
@@ -257,174 +259,172 @@ def _vector_message(pattern, adj, v, scope, bucket):
 
 
 def _join(pattern, adj, v, scope, bucket, summed=False, twins=()):
-    """Sum v out of a bucket by one join over v and then the scope, with
-    forward checking (Haralick and Elliott 1980).
+    """Sum v out of a bucket by one join over v and then the scope, run by
+    the compiled kernel of the bucket's shape (see ``_kernel``).
 
-    The join assigns v first and then the scope's variables in order, and
-    reads each factor's nested table as a trie along its scope. A factor's
-    top level narrows its own first level's domain before the join starts,
-    and a table the bucket holds again on the same scope only multiplies
-    its values in again. Assigning a level narrows the domain of every
-    later level it constrains: through a pattern edge to the host
-    neighbourhood of its image, and through a factor to that factor's
-    child trie node. A domain is tested for disjointness before it is
-    intersected, and an image that empties a later domain is skipped at
-    once, so the last level only meets finished domains: it is iterated
-    in place and its weights are added straight into the output row, or
-    summed into the total when ``summed``. Pattern edges already used by
-    an earlier bucket may prune again, since an edge indicator is
-    idempotent.
-
-    Returns the sum for an empty scope, a vector over the host's vertices
-    for one variable, and for more, nested dicts of the nonzero entries
-    keyed in scope order, like the factors. With ``summed`` the scope is
-    summed out too, so it returns the total; the bucket may then hold
-    factors without v. A factor whose scope is not in elimination order
-    would be read along the wrong levels, so it raises ``AssertionError``.
-
-    ``twins``, given with ``summed`` only, holds the bucket's classes of
-    interchangeable levels (see ``_twins``), and the join counts once per
-    orbit of their permutations. Each class takes its images in
-    non-decreasing order, a filter over the domain that leaves the loop
-    over the images as it is, and each assignment weighs c! / (m1! m2!
-    ...) for a class of c levels whose images repeat m1, m2, ... times.
-    That is exact: permuting a class leaves the bucket unchanged, and the
-    orbit of each assignment under those permutations holds exactly one
-    non-decreasing member and that many members in all. Adjacent twins
-    never share an image on a loop-free host, so they weigh c!. The last
-    level stays out of its class, so it is still summed in one pass over
-    its domain: a bound there would cost a pass of its own and save none
-    of the narrowing before it. A tie runs in a call of its own, so a
-    level without a twin runs the same loop as without orbits.
+    The shape names no host and no pattern vertex: the scope's length,
+    the pattern edges among v and the scope as level pairs, each
+    factor's levels, table slot (a table held twice takes one) and kind,
+    a vector over host vertices or nested dicts, ``summed`` and
+    ``twins``. Returns the sum for an empty scope, a vector over the
+    host's vertices for one variable, and for more, nested dicts of the
+    nonzero entries keyed in scope order, like the factors. With
+    ``summed`` the scope is summed out too, so it returns the total; the
+    bucket may then hold factors without v. ``twins``, given with
+    ``summed`` only, holds the bucket's classes of interchangeable levels
+    (see ``_twins``), and the join counts once per orbit of their
+    permutations. A factor whose scope is not in elimination order would
+    be read along the wrong levels, so it raises ``AssertionError``.
     """
     variables = (v,) + scope
-    last = len(scope)
     rank = {u: i for i, u in enumerate(variables)}
-    # checks[i]: (later level, trie slot or None for a pattern edge) that
-    # an image at level i narrows; a factor's trie walks down its slots.
-    # ends[i]: the slots whose leaf values an image at level i multiplies.
-    checks = [[(j, None) for j in range(i + 1, last + 1)
-               if variables[j] in pattern.neighbors(u)]
-              for i, u in enumerate(variables)]
-    ends = [[] for _ in variables]
-    slots = []
-    domains = [None] * (last + 1)  # None: every host vertex
-    placed = {}  # (table id, scope) -> first slot of that factor
+    edges = tuple((j, k) for k, u in enumerate(variables) for j in range(k)
+                  if variables[j] in pattern.neighbors(u))
+    tables, slots, factors = [], {}, []
     for f_scope, table in bucket:
-        levels = [rank[u] for u in f_scope]
-        if levels != sorted(levels):
+        levels = tuple(map(rank.__getitem__, f_scope))
+        if list(levels) != sorted(levels):
             raise AssertionError("factor scope out of elimination order")
-        base = placed.setdefault((id(table), f_scope), len(slots))
-        if base < len(slots):  # a shared table again: multiply, no checks
-            ends[levels[-1]].append(base + len(levels) - 1)
-            continue
-        slots.append({x: c for x, c in enumerate(table) if c}
-                     if isinstance(table, list) else table)
-        slots.extend([None] * (len(levels) - 1))
-        for t in range(len(levels) - 1):
-            checks[levels[t]].append((levels[t + 1], base + t))
-        ends[levels[-1]].append(base + len(levels) - 1)
-        top, d = slots[base].keys(), domains[levels[0]]
-        domains[levels[0]] = top if d is None else d & top
-    if domains[0] is None:
-        domains[0] = range(len(adj))
-    # below[i]: the twin before level i in its class, whose image bounds
-    # i's from below. The last level stays out of its class, so its sum
-    # stays one pass.
-    below = [None] * last
-    weight = 1
+        slot = slots.setdefault(id(table), len(tables))
+        if slot == len(tables):
+            tables.append(table)
+        factors.append((slot, levels, isinstance(table, list)))
+    shape = (len(scope), edges, tuple(factors), summed, twins)
+    return _kernel(shape)(adj, *tables)
+
+
+@lru_cache(maxsize=1024)
+def _kernel(shape):
+    """The join of a bucket shape as ``join(adj, t0, t1, ...)`` over the
+    host's adjacency and the bucket's tables by slot, compiled from
+    ``_source`` once per shape: shapes name no host, so hosts share it."""
+    namespace = {"mul": mul}
+    exec(compile(_source(shape), "<join kernel>", "exec"), namespace)
+    return namespace["join"]
+
+
+def _source(shape):
+    """Python source of the join kernel of a bucket shape (see ``_join``),
+    built from the shape's integers and fixed names only.
+
+    Level i is one loop ``for x{i}``, nested in level i - 1's. Vectors
+    become dicts of their nonzero entries, and a factor's top keys bound
+    its first level's domain before the loops. An image narrows every
+    later level it constrains at once: through a pattern edge to its
+    host neighbourhood ``a{i}``, and through a factor to the child trie
+    node ``n{k}_{t}`` it descends into. A domain is tested with
+    ``isdisjoint`` before it is intersected, once for every later level
+    that takes the same intersection, and an image that empties a later
+    domain is skipped at once. Leaf values multiply into the weight
+    ``w{i}``, a factor held twice on the same levels twice. The last
+    level only meets finished domains: it adds their ``len``, or the
+    ``sum`` of its leaf products, to the total, or adds into the output
+    row when tabulating. Edges an earlier bucket used may prune again.
+
+    A twin level takes its images from its class's previous level's up
+    (``if x{i} < x{j}: continue``), and each assignment weighs c! / (m1!
+    m2! ...) for a class of c levels whose images repeat m1, m2, ...
+    times. That is exact: permuting a class leaves the bucket unchanged,
+    and each assignment's orbit holds exactly one non-decreasing member
+    and that many in all. Adjacent twins never share an image on a
+    loop-free host, so without other twins the total is weighed once, at
+    the end; otherwise the weight starts at the product of the c! and
+    each image divides it by its run counter ``r{i}``, the length of the
+    run of equal images it ends. The last level stays out of its class,
+    so it is still summed in one pass over its domain.
+    """
+    last, edges, factors, summed, twins = shape
+    slots = 1 + max((s for s, _, _ in factors), default=-1)
+    code = [(0, f"def join(adj{''.join(f', t{s}' for s in range(slots))}):")]
+    code += [(1, f"t{s} = {{x: c for x, c in enumerate(t{s}) if c}}")
+             for s in sorted({s for s, _, vector in factors if vector})]
+    # checks[i]: (later level, descent or None, near) that an image at
+    # level i narrows; leaves[i]: the trie nodes its leaf values read.
+    checks = [[(j, None, f"a{i}") for i_, j in edges if i_ == i]
+              for i in range(last + 1)]
+    leaves = [[] for _ in range(last + 1)]
+    tops = [[] for _ in range(last + 1)]
+    first = {}
+    for k, (s, levels, _) in enumerate(factors):
+        held = first.setdefault((s, levels), k)
+        nodes = [f"t{s}"] + [f"n{held}_{t}" for t in range(1, len(levels))]
+        if held == k:
+            tops[levels[0]].append(f"t{s}.keys()")
+            for t in range(len(levels) - 1):
+                descent = f"{nodes[t + 1]} = {nodes[t]}[x{levels[t]}]"
+                checks[levels[t]].append(
+                    (levels[t + 1], descent, f"{nodes[t + 1]}.keys()"))
+        leaves[levels[-1]].append(nodes[-1])
+    # domains[i]: level i's domain so far; None for every host vertex.
+    domains = [f"d{i}" if keys else None for i, keys in enumerate(tops)]
+    code += [(1, f"d{i} = {' & '.join(keys)}")
+             for i, keys in enumerate(tops) if keys]
+    below, orbit = [None] * (last + 1), 1
     for levels in twins:
         levels = [i for i in levels if i < last]
         for j, i in zip(levels, levels[1:]):
             below[i] = j
-        weight *= factorial(len(levels))
-    total = 0
-    if not scope:  # unary factors only: sum v out directly
-        for x in domains[0]:
-            w = 1
-            for s in ends[0]:
-                w *= slots[s][x]
-            total += w
-        return total
-    leaves = ends[last]
-    image = [0] * last
-    out = {}
-
-    def extend(i, weight, given, tied=False):
-        nonlocal total
-        domain = given[i]
+        orbit *= factorial(len(levels))
+    ties = [i for i, j in enumerate(below)
+            if j is not None and (j, i) not in edges]
+    weight = str(orbit) if ties else None
+    runs = [None] * (last + 1)  # None: a run of one
+    code.append((1, "total = 0" if summed or not last else
+                 "out = [0] * len(adj)" if last == 1 else "out = {}"))
+    for i in range(last):
+        code.append((i + 1, f"for x{i} in {domains[i] or 'range(len(adj))'}:"))
+        body = i + 2
         j = below[i]
-        if j is not None and not tied:  # images above its twin's only
-            p = image[j]
-            if p in domain:  # never for adjacent twins: p is not near p
-                # Or p itself, alone: a run of r equal images weighs 1/r!.
-                run = 2
-                while below[j] is not None and image[below[j]] == p:
-                    run, j = run + 1, below[j]
-                alone = given[:]
-                alone[i] = (p,)
-                extend(i, weight // run, alone, True)
-            domain = filter(p.__lt__, domain)
-        for x in domain:
-            narrowed = given[:]
-            for j, s in checks[i]:
-                if s is None:
-                    near = adj[x]
-                else:
-                    slots[s + 1] = child = slots[s][x]
-                    near = child.keys()
-                d = narrowed[j]
-                if d is not None:
-                    if d.isdisjoint(near):
-                        break
-                    near = d & near
-                elif not near:
-                    break
-                narrowed[j] = near
-            else:
-                w = weight
-                for s in ends[i]:
-                    w *= slots[s][x]
-                image[i] = x
-                if i + 1 < last:
-                    extend(i + 1, w, narrowed)
-                    continue
-                if summed:
-                    ys = narrowed[last]
-                    terms = None
-                    for s in leaves:
-                        at = map(slots[s].__getitem__, ys)
-                        terms = at if terms is None else map(mul, terms, at)
-                    total += w * (len(ys) if terms is None else sum(terms))
-                    continue
-                row = out
-                for y in image[1:]:
-                    row = row.setdefault(y, {})
-                if not leaves:
-                    for y in narrowed[last]:
-                        row[y] = row.get(y, 0) + w
-                    continue
-                if len(leaves) == 1:
-                    leaf = slots[leaves[0]]
-                    for y in narrowed[last]:
-                        row[y] = row.get(y, 0) + w * leaf[y]
-                    continue
-                for y in narrowed[last]:
-                    c = w
-                    for s in leaves:
-                        c *= slots[s][y]
-                    row[y] = row.get(y, 0) + c
-
-    extend(0, weight, domains)
-    del extend  # the closure refers to itself; free its slots now
-    if summed:
-        return total
-    if last > 1:
-        return out
-    vector = [0] * len(adj)
-    for y, c in out.items():
-        vector[y] = c
-    return vector
+        if j is not None:
+            code.append((body, f"if x{i} < x{j}: continue"))
+        if i in ties:
+            code.append((body, f"r{i} = {runs[j] or 1} + 1 if x{i} == x{j}"
+                               f" else 1"))
+            runs[i] = f"r{i}"
+            weight = f"{weight} // r{i}"
+        if any(near == f"a{i}" for _, _, near in checks[i]):
+            code.append((body, f"a{i} = adj[x{i}]"))
+        shared = {}  # (domain, near) -> the name of their intersection
+        for later, descent, near in checks[i]:
+            if descent:
+                code.append((body, descent))
+            d = domains[later]
+            if d is None:
+                if near not in domains:
+                    code.append((body, f"if not {near}: continue"))
+                domains[later] = near
+                continue
+            if (d, near) not in shared:
+                shared[d, near] = f"d{i}_{len(shared)}"
+                code.append((body, f"if {d}.isdisjoint({near}): continue"))
+                code.append((body, f"{shared[d, near]} = {d} & {near}"))
+            domains[later] = shared[d, near]
+        if leaves[i] or i in ties:
+            factor = [weight] * bool(weight) + [
+                f"{node}[x{i}]" for node in leaves[i]]
+            code.append((body, f"w{i} = {' * '.join(factor)}"))
+            weight = f"w{i}"
+    body = last + 1
+    domain = domains[last] or "range(len(adj))"
+    if summed or not last:
+        at = [f"map({node}.__getitem__, {domain})" for node in leaves[last]]
+        term = (f"sum({reduce(lambda a, b: f'map(mul, {a}, {b})', at)})"
+                if at else f"len({domain})")
+        code.append((body, f"total += {weight} * {term}" if weight
+                     else f"total += {term}"))
+        code.append((1, f"return {orbit} * total" if orbit > 1 and not ties
+                     else "return total"))
+    else:
+        value = " * ".join([weight] * bool(weight) + [
+            f"{node}[y]" for node in leaves[last]]) or "1"
+        if last > 1:
+            code.append((body, "row = out" + "".join(
+                f".setdefault(x{i}, {{}})" for i in range(1, last))))
+        code.append((body, f"for y in {domain}:"))
+        code.append((body + 1, "out[y] += " + value if last == 1 else
+                     f"row[y] = row.get(y, 0) + {value}"))
+        code.append((1, "return out"))
+    return "".join("    " * depth + line + "\n" for depth, line in code)
 
 
 def _eliminate(pattern, host, order, width):

@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
+from operator import mul
 
 from homlattice import treedp
 from homlattice.errors import HomlatticeError, HostError
@@ -703,6 +705,153 @@ def reference_join(pattern, adj, v, scope, bucket):
             vector[y] = c
         return vector
     return out
+
+
+def interpreted_join(pattern, adj, v, scope, bucket, summed=False,
+                     twins=()):
+    """Second oracle for ``treedp._join``, the orbit-aware join it
+    replaced: the same arguments and results, but one interpreted join
+    that walks the bucket's description per image instead of one
+    compiled kernel per bucket shape.
+
+    The join assigns v first and then the scope's variables in order,
+    reads each factor's nested table as a trie along its scope and
+    narrows every later level's domain as each level is assigned
+    (forward checking), testing a domain for disjointness before it is
+    intersected. With ``summed`` it returns the total; ``twins``, given
+    with ``summed`` only, holds the bucket's classes of interchangeable
+    levels, and each class takes its images in non-decreasing order,
+    each assignment weighing c! / (m1! m2! ...) for a class of c levels
+    whose images repeat m1, m2, ... times. The last level stays out of
+    its class, and a tie runs in a call of its own."""
+    variables = (v,) + scope
+    last = len(scope)
+    rank = {u: i for i, u in enumerate(variables)}
+    # checks[i]: (later level, trie slot or None for a pattern edge) that
+    # an image at level i narrows; a factor's trie walks down its slots.
+    # ends[i]: the slots whose leaf values an image at level i multiplies.
+    checks = [[(j, None) for j in range(i + 1, last + 1)
+               if variables[j] in pattern.neighbors(u)]
+              for i, u in enumerate(variables)]
+    ends = [[] for _ in variables]
+    slots = []
+    domains = [None] * (last + 1)  # None: every host vertex
+    placed = {}  # (table id, scope) -> first slot of that factor
+    for f_scope, table in bucket:
+        levels = [rank[u] for u in f_scope]
+        if levels != sorted(levels):
+            raise AssertionError("factor scope out of elimination order")
+        base = placed.setdefault((id(table), f_scope), len(slots))
+        if base < len(slots):  # a shared table again: multiply, no checks
+            ends[levels[-1]].append(base + len(levels) - 1)
+            continue
+        slots.append({x: c for x, c in enumerate(table) if c}
+                     if isinstance(table, list) else table)
+        slots.extend([None] * (len(levels) - 1))
+        for t in range(len(levels) - 1):
+            checks[levels[t]].append((levels[t + 1], base + t))
+        ends[levels[-1]].append(base + len(levels) - 1)
+        top, d = slots[base].keys(), domains[levels[0]]
+        domains[levels[0]] = top if d is None else d & top
+    if domains[0] is None:
+        domains[0] = range(len(adj))
+    # below[i]: the twin before level i in its class, whose image bounds
+    # i's from below. The last level stays out of its class, so its sum
+    # stays one pass.
+    below = [None] * last
+    weight = 1
+    for levels in twins:
+        levels = [i for i in levels if i < last]
+        for j, i in zip(levels, levels[1:]):
+            below[i] = j
+        weight *= factorial(len(levels))
+    total = 0
+    if not scope:  # unary factors only: sum v out directly
+        for x in domains[0]:
+            w = 1
+            for s in ends[0]:
+                w *= slots[s][x]
+            total += w
+        return total
+    leaves = ends[last]
+    image = [0] * last
+    out = {}
+
+    def extend(i, weight, given, tied=False):
+        nonlocal total
+        domain = given[i]
+        j = below[i]
+        if j is not None and not tied:  # images above its twin's only
+            p = image[j]
+            if p in domain:  # never for adjacent twins: p is not near p
+                # Or p itself, alone: a run of r equal images weighs 1/r!.
+                run = 2
+                while below[j] is not None and image[below[j]] == p:
+                    run, j = run + 1, below[j]
+                alone = given[:]
+                alone[i] = (p,)
+                extend(i, weight // run, alone, True)
+            domain = filter(p.__lt__, domain)
+        for x in domain:
+            narrowed = given[:]
+            for j, s in checks[i]:
+                if s is None:
+                    near = adj[x]
+                else:
+                    slots[s + 1] = child = slots[s][x]
+                    near = child.keys()
+                d = narrowed[j]
+                if d is not None:
+                    if d.isdisjoint(near):
+                        break
+                    near = d & near
+                elif not near:
+                    break
+                narrowed[j] = near
+            else:
+                w = weight
+                for s in ends[i]:
+                    w *= slots[s][x]
+                image[i] = x
+                if i + 1 < last:
+                    extend(i + 1, w, narrowed)
+                    continue
+                if summed:
+                    ys = narrowed[last]
+                    terms = None
+                    for s in leaves:
+                        at = map(slots[s].__getitem__, ys)
+                        terms = at if terms is None else map(mul, terms, at)
+                    total += w * (len(ys) if terms is None else sum(terms))
+                    continue
+                row = out
+                for y in image[1:]:
+                    row = row.setdefault(y, {})
+                if not leaves:
+                    for y in narrowed[last]:
+                        row[y] = row.get(y, 0) + w
+                    continue
+                if len(leaves) == 1:
+                    leaf = slots[leaves[0]]
+                    for y in narrowed[last]:
+                        row[y] = row.get(y, 0) + w * leaf[y]
+                    continue
+                for y in narrowed[last]:
+                    c = w
+                    for s in leaves:
+                        c *= slots[s][y]
+                    row[y] = row.get(y, 0) + c
+
+    extend(0, weight, domains)
+    del extend  # the closure refers to itself; free its slots now
+    if summed:
+        return total
+    if last > 1:
+        return out
+    vector = [0] * len(adj)
+    for y, c in out.items():
+        vector[y] = c
+    return vector
 
 
 def reference_eliminate(pattern, host, order, width):

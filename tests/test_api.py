@@ -2,6 +2,7 @@
 API shows up in this file's diff."""
 
 import ast
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -82,6 +83,27 @@ def test_public_names_are_pinned():
         if not name.startswith("_")
         and not isinstance(getattr(homlattice, name), types.ModuleType))
     assert names == PUBLIC
+
+
+def test_submodules_resolve_before_any_lazy_name():
+    """In a fresh interpreter ``import homlattice`` loads neither the
+    oracle nor the permanent gadget, and each then resolves as an
+    attribute of the package, before any name inside it is touched."""
+    src = str(Path(homlattice.__file__).resolve().parent.parent)
+    code = (
+        f"import sys\nsys.path.insert(0, {src!r})\nimport homlattice\n"
+        "def loaded():\n"
+        "    return sorted({'homlattice.oracle', 'homlattice.permtree'}"
+        " & set(sys.modules))\n"
+        "print(loaded(), {'oracle', 'permtree'} <= set(dir(homlattice)))\n"
+        "brute_hom = homlattice.oracle.brute_hom\n"
+        "print(loaded(), brute_hom is homlattice.brute_hom)\n"
+        "print(homlattice.permtree.__name__, len(loaded()))\n")
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[] True", "['homlattice.oracle'] True", "homlattice.permtree 2"]
 
 
 def test_public_names_are_the_defining_modules_objects():

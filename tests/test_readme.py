@@ -39,6 +39,17 @@ def test_readme_demo_script_runs(tmp_path):
         assert run.stdout.rstrip().endswith(": agree")
 
 
+def test_demo_script_runs_from_any_directory(tmp_path):
+    """The demo finds the package beside itself, not through the working
+    directory or ``PYTHONPATH``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "perm_gadget_demo.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.rstrip().endswith(": agree")
+
+
 def _synopsis_variants(words):
     """Each way to write a synopsis line: every optional ``[...]`` part
     left out, or given with each of its ``a|b`` alternatives."""

@@ -1,3 +1,4 @@
+import ast
 import gc
 import random
 import weakref
@@ -16,7 +17,8 @@ from homlattice.restrictions import EMB, LI, locally_injective
 from homlattice.treedp import hom_count, treewidth_exact
 from helpers import (TreeDecomposition, all_trees, atlas,
                      decomposition_from_order,
-                     graphs_up_to, make_nice, nice_dp_count, nonzero_entries,
+                     graphs_up_to, interpreted_join, make_nice,
+                     nice_dp_count, nonzero_entries,
                      random_graph, random_host, random_tree,
                      reference_eliminate, reference_join,
                      validate_decomposition)
@@ -173,6 +175,9 @@ def test_summed_joins_match_reference_join_on_dense_hosts(monkeypatch):
                          variables[levels[0]]) for levels in twins)
         assert total == sum(nonzero_entries(
             reference_join(pattern, adj, v, scope, bucket)).values())
+        # The interpreted join weighs each orbit and tie the same way.
+        assert total == interpreted_join(pattern, adj, v, scope, bucket,
+                                         summed=True, twins=twins)
     assert len(calls) > 1000 and sum(bool(t) for _, t, _ in calls) > 400
     assert loose > 80
 
@@ -228,6 +233,31 @@ def test_orbit_shapes_and_work(monkeypatch):
         assert treedp._join(pattern, adj, v, scope, bucket, summed=True,
                             twins=classes) == total
         assert len(examined) == images
+
+
+def test_kernels_are_cached_per_shape_and_name_no_host(monkeypatch):
+    """The canonical K3's summed join compiles once, on a 6-vertex host,
+    and a 200-vertex host runs the same kernel. Its source holds no
+    integer literal but the levels 0-2 and the orbit weight 2! = 2."""
+    source = treedp._source
+    sources = []
+    monkeypatch.setattr(treedp, "_source", lambda shape: sources.append(
+        source(shape)) or sources[-1])
+    treedp._kernel.cache_clear()
+    rng = random.Random(97)
+    small, large = random_host(rng, 6, 9), random_host(rng, 200, 600)
+    triangle = canonical_representative(clique(3))
+    counts = []
+    for host in (small, large):
+        counts.append(hom_count(triangle, host))
+        info = treedp._kernel.cache_info()
+        assert (info.misses, info.hits) == (1, len(counts) - 1)
+    assert counts == [brute_hom(triangle, small), _traces(large)[0]]
+    (text,) = sources
+    literals = {node.value for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Constant) and type(node.value) is int}
+    assert literals <= {0, 1, 2}
+    assert "2 * total" in text  # no non-adjacent twins: weighed at the end
 
 
 def _both_eliminations(graph, host):
