@@ -24,6 +24,15 @@ under the labelled key (pattern ``Graph``, token) it was asked for, so a
 re-queried labelled pattern needs no canonical search and an isomorphic
 relabelling needs one. ``expansion_cache_info`` and
 ``expansion_cache_clear`` report on and empty the cache.
+
+Expansions share one representative ``Graph`` per isomorphism class,
+kept under its canonical key in a second least recently used store of
+at most ``4 * _EXPANSION_CACHE_SIZE`` entries, which
+``expansion_cache_clear`` empties too. A class that recurs across
+expansions is thus one object in all of them, and the plan cache and the
+per-host memo in ``treedp`` match it by identity, without comparing edge
+sets. ``evaluate`` hands all its terms to ``treedp`` at once, which
+looks the host up once and checks each term on its own.
 """
 
 from . import graphs
@@ -32,7 +41,7 @@ from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .flats import enumerate_flats
 from .graphs import _Value, _canonical, _placed, quotient
 from .restrictions import EMB, apply_restriction
-from .treedp import hom_count
+from .treedp import _hom_sum
 
 
 class ExpansionTerm(_Value):
@@ -86,6 +95,8 @@ class LinearCombination(_Value):
 
 _EXPANSION_CACHE_SIZE = 2048
 _expansion_cache = LRUCache(_EXPANSION_CACHE_SIZE)
+# canonical key -> the one representative Graph that expansions share
+_representatives = LRUCache(4 * _EXPANSION_CACHE_SIZE)
 
 
 def expansion_cache_info():
@@ -94,8 +105,9 @@ def expansion_cache_info():
 
 
 def expansion_cache_clear():
-    """Forget every cached expansion."""
+    """Forget every cached expansion and every shared representative."""
     _expansion_cache.clear()
+    _representatives.clear()
 
 
 def _group_quotients(pattern, items, bottom):
@@ -132,7 +144,10 @@ def expand(restriction, pattern, limit=None):
 
     Results for built-in restrictions are cached per labelled pattern and
     per isomorphism class; custom restrictions are never cached since
-    nothing ties their output to the pattern's isomorphism class.
+    nothing ties their output to the pattern's isomorphism class. On a
+    miss, every quotient still takes its canonical search and every class
+    its relabelling, and then each term takes its class's representative
+    from the shared store (see the module notes), or leaves its own there.
     """
     if not pattern.is_loop_free():
         raise HomlatticeError("pattern must be loop-free")
@@ -163,6 +178,11 @@ def expand(restriction, pattern, limit=None):
         removed = pattern.n - rep.n
         if (coeff > 0) != (removed % 2 == 0):
             raise AssertionError("condensed coefficient has the wrong sign")
+        shared = _representatives.get(key)
+        if shared is None:
+            _representatives.put(key, rep)
+        else:
+            rep = shared
         terms.append(ExpansionTerm(coeff, rep, key))
     terms.sort(key=lambda t: (-t.graph.n, t.key))
     lead = terms[0] if terms else None
@@ -176,12 +196,15 @@ def expand(restriction, pattern, limit=None):
 
 
 def evaluate(expansion, host, limit=None):
-    """Value of the expansion on a loop-free host graph."""
-    if not host.is_loop_free():
-        raise HostError("host graph must be loop-free")
-    total = 0
-    for term in expansion.terms:
-        total += term.coefficient * hom_count(term.graph, host, limit)
+    """Value of the expansion on a loop-free host graph.
+
+    One call into ``treedp`` counts every term: the host is checked and
+    looked up in the hom-count memo once, and each term still gets the
+    loop-free and size checks of ``hom_count`` and counts a memo hit or
+    miss per connected component.
+    """
+    total = _hom_sum(((term.coefficient, term.graph)
+                      for term in expansion.terms), host, limit)
     if total < 0:
         raise AssertionError("restricted count came out negative")
     return total

@@ -45,8 +45,10 @@ most recently used hosts; each host at most ``_MEMO_TERMS`` counts and
 (n + 2m) // n vectors for n vertices and m edges, so never more vector
 entries than its adjacency. Every level is least recently used first
 out, so a stream of large hosts cannot pin memory, and a host's counts
-and vectors leave together. The host and pattern checks run on every
-call, hit or miss. ``hom_cache_info`` reports on the counts, and
+and vectors leave together. ``hom_count`` and ``basis.evaluate`` both
+count through ``_hom_sum``, which takes a signed sum of terms, checks
+the host and looks up its memo entry once, and then checks each
+pattern, hit or miss. ``hom_cache_info`` reports on the counts, and
 ``hom_cache_clear`` empties the memo.
 """
 
@@ -513,27 +515,37 @@ def hom_count(pattern, host, limit=None):
 
     Disconnected patterns factor into a product over their components;
     each component's count is memoised per host (see the module notes).
+    This is ``_hom_sum`` of the one term (1, pattern).
     """
+    return _hom_sum(((1, pattern),), host, limit)
+
+
+def _hom_sum(terms, host, limit=None):
+    """Sum of c * hom_count(pattern, host, limit) over the (c, pattern)
+    pairs of ``terms``. The host is checked and its counts fetched from
+    the memo once for them all; each pattern still gets its loop-free and
+    size checks, and each component of its plan is a hit or a miss in
+    the host's counts."""
     if not host.is_loop_free():
         raise HostError("host must be loop-free")
-    if not pattern.is_loop_free():
-        raise HomlatticeError("pattern must be loop-free")
-    ensure_pattern_size(pattern.n, limit)
-    parts = _plan(pattern)[2]
-    if not parts:
-        return 1
     counts = _host_caches(host)[0]
-    total = 1
-    for comp, width, order in parts:
-        if comp is None:
-            comp = pattern
-        count = counts.get(comp)
-        if count is None:
-            count = _eliminate(comp, host, order, width)
-            counts.put(comp, count)
-        total *= count
-        if total == 0:
-            return 0
+    total = 0
+    for coefficient, pattern in terms:
+        if not pattern.is_loop_free():
+            raise HomlatticeError("pattern must be loop-free")
+        ensure_pattern_size(pattern.n, limit)
+        product = 1
+        for comp, width, order in _plan(pattern)[2]:
+            if comp is None:
+                comp = pattern
+            count = counts.get(comp)
+            if count is None:
+                count = _eliminate(comp, host, order, width)
+                counts.put(comp, count)
+            product *= count
+            if product == 0:
+                break
+        total += coefficient * product
     return total
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from homlattice import basis, graphs
+from homlattice import basis, graphs, treedp
 from homlattice.basis import (
+    BasisExpansion,
+    ExpansionTerm,
     LinearCombination,
     count_restricted,
     evaluate,
@@ -125,6 +127,61 @@ def test_expand_builds_one_representative_per_term(monkeypatch):
     expansion = expand(locally_injective(2), cycle(6))
     assert len(expansion) > 1
     assert len(relabeled) == len(expansion)
+
+
+def test_expansions_share_one_representative_per_class():
+    """A class met by two expansions is one Graph object in both, and
+    sharing changes no term."""
+    li, emb = expand(LI, path(4)), expand(EMB, cycle(4))
+    held = {term.key: term.graph for term in li.terms}
+    shared = [term for term in emb.terms if term.key in held]
+    assert len(shared) >= 2  # the path on three vertices and K2
+    assert all(term.graph is held[term.key] for term in shared)
+    for restriction, pattern, terms in ((LI, path(4), li.terms),
+                                        (EMB, cycle(4), emb.terms)):
+        basis.expansion_cache_clear()
+        assert len(basis._representatives) == 0
+        assert expand(restriction, pattern).terms == terms
+
+
+def test_warm_requery_compares_no_graphs(monkeypatch):
+    """Repeating a count on the same pattern and host finds the
+    expansion, every plan and every memoised count by identity: no
+    ``Graph.__eq__`` call, one memo hit per term and no miss."""
+    # Plans cached by earlier tests hold equal Graphs of their own.
+    treedp._plan.cache_clear()
+    pattern = cycle(5)
+    host = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    value = count_restricted(LI, pattern, host)
+    terms = len(expand(LI, pattern))
+    before = treedp.hom_cache_info()
+    compared = []
+    equal = Graph.__eq__
+    monkeypatch.setattr(Graph, "__eq__",
+                        lambda a, b: compared.append(a) or equal(a, b))
+    assert count_restricted(LI, pattern, host) == value
+    assert compared == []
+    after = treedp.hom_cache_info()
+    assert (after.hits - before.hits, after.misses) == (terms, before.misses)
+
+
+def test_evaluate_checks_every_term_and_the_host():
+    """One host lookup per expansion keeps every per-term check, on a
+    warm memo too."""
+    host = cycle(5)
+    loopy = Graph(2, [(0, 0), (0, 1)], selfloops_allowed=True)
+    fine = ExpansionTerm(1, path(2), None)
+    assert evaluate(BasisExpansion(path(2), HOM, (fine,)), host) == 10
+    with pytest.raises(HomlatticeError) as caught:
+        evaluate(BasisExpansion(path(2), HOM,
+                                (fine, ExpansionTerm(1, loopy, None))), host)
+    assert caught.type is HomlatticeError
+    big = BasisExpansion(path(6), HOM, (ExpansionTerm(1, path(6), None),))
+    assert evaluate(big, host) == 5 * 2 ** 5
+    with pytest.raises(PatternSizeError):
+        evaluate(big, host, limit=5)
+    with pytest.raises(HostError):
+        evaluate(BasisExpansion(Graph(0), HOM, ()), loopy)
 
 
 def test_expansion_cache_is_bounded(monkeypatch):

@@ -104,3 +104,33 @@ def test_function_caches_are_bounded():
                     unbounded.append(f"{source.relative_to(ROOT)}:"
                                      f"{node.name}")
     assert unbounded == []
+
+
+def test_cache_clears_empty_every_module_cache():
+    """``expansion_cache_clear`` and ``hom_cache_clear``, which the
+    tests' ``cold_caches`` fixture calls, empty every ``LRUCache`` that a
+    homlattice module holds as a global, so no cache added later can
+    carry answers from one test into the next."""
+    import importlib
+    import pkgutil
+
+    import homlattice
+    from homlattice import basis, treedp
+    from homlattice.cache import LRUCache
+
+    caches = {}
+    for info in pkgutil.iter_modules(homlattice.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"homlattice.{info.name}")
+        caches.update((f"{info.name}.{name}", value)
+                      for name, value in vars(module).items()
+                      if isinstance(value, LRUCache))
+    assert {"basis._expansion_cache", "basis._representatives",
+            "treedp._memo"} <= set(caches)
+    for cache in caches.values():
+        while len(cache) < cache.maxsize:
+            cache.put(object(), object())
+    basis.expansion_cache_clear()
+    treedp.hom_cache_clear()
+    assert [name for name, cache in caches.items() if len(cache)] == []
