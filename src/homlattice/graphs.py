@@ -1,10 +1,13 @@
 """Graph values and the small-graph toolkit used across the package.
 
 A graph is its vertex count and edge set: vertices are 0..n-1, edges are
-sorted pairs with duplicates collapsed. ``selfloops_allowed=True`` only
-lets the constructor accept selfloops and is not stored, so it changes no
-equality. Quotients of loop-free graphs carry a selfloop whenever an edge
-is contracted into a block.
+sorted pairs with duplicates collapsed. It is stored as adjacency only, a
+neighbour frozenset per vertex plus the looped vertices, built in one
+pass over the edges; the edge set is derived on first use, and counting,
+expansion and canonical search never ask for it. ``selfloops_allowed=True``
+only lets the constructor accept selfloops and is not stored, so it
+changes no equality. Quotients of loop-free graphs carry a selfloop
+whenever an edge is contracted into a block.
 
 Canonical forms are exact: the key of a graph is the lexicographically
 minimal adjacency-matrix bit string over all vertex relabelings, with the
@@ -61,18 +64,27 @@ class _Value:
 
 
 class Graph(_Value):
-    """An undirected graph on vertices 0..n-1; its value is n and edges."""
+    """An undirected graph on vertices 0..n-1; its value is n and edges.
 
-    __slots__ = ("n", "edges", "_adj", "_loops", "_hash")
+    Only the adjacency is stored: a frozenset of neighbours per vertex and
+    the set of looped vertices, each built once from the edge list, with
+    the edge count and the hash. The edge set is derived from them on
+    first use and kept (see ``edges``); equality and hashing compare the
+    adjacency, which determines it.
+    """
+
+    __slots__ = ("n", "m", "_adj", "_loops", "_edges", "_hash")
     _fields = ("n", "edges")
 
     def __init__(self, n, edges=(), selfloops_allowed=False):
         n = index(n)  # an int or integer-like; 2.7 raises TypeError
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        normalized = set()
-        adj = [set() for _ in range(n)]
-        loops = set()
+        # Neighbours gather in dicts, not lists: a frozenset made from a
+        # dict is sized once for its final count, while one made from a
+        # list grows as it fills and can keep twice the table.
+        adj = [{} for _ in range(n)]
+        loops = []
         for u, v in edges:
             u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
@@ -80,20 +92,35 @@ class Graph(_Value):
             if u == v:
                 if not selfloops_allowed:
                     raise ValueError(f"selfloop at {u} in a loop-free graph")
-                normalized.add((u, u))
-                loops.add(u)
+                loops.append(u)
             else:
-                normalized.add((u, v) if u < v else (v, u))
-                adj[u].add(v)
-                adj[v].add(u)
+                adj[u][v] = adj[v][u] = None
+        adj = tuple(map(frozenset, adj))
+        loops = frozenset(loops)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
-        object.__setattr__(self, "_loops", frozenset(loops))
+        object.__setattr__(self, "m", sum(map(len, adj)) // 2 + len(loops))
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_loops", loops)
+        # Hashed here, in set-up, so a host's first query does not pay it.
+        object.__setattr__(self, "_hash", hash((n, adj, loops)))
 
     @property
-    def m(self):
-        return len(self.edges)
+    def edges(self):
+        """Frozenset of sorted pairs (u, v), u < v, and (v, v) per selfloop,
+        derived from the adjacency on first use and kept."""
+        try:
+            return self._edges
+        except AttributeError:
+            edges = frozenset(self._pairs())
+            object.__setattr__(self, "_edges", edges)
+            return edges
+
+    def _pairs(self):
+        """The edges as a list: (u, v) with u < v, then (v, v) per
+        selfloop."""
+        pairs = [(u, v) for u, vs in enumerate(self._adj) for v in vs if u < v]
+        pairs += [(v, v) for v in self._loops]
+        return pairs
 
     def neighbors(self, v):
         """Non-loop neighbors of v."""
@@ -119,11 +146,12 @@ class Graph(_Value):
 
     def adjacency_masks(self):
         """Per-vertex neighbor bitmasks and the loop bitmask."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            if u != v:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
+        masks = []
+        for vs in self._adj:
+            mask = 0
+            for v in vs:
+                mask |= 1 << v
+            masks.append(mask)
         loop_mask = 0
         for v in self._loops:
             loop_mask |= 1 << v
@@ -133,8 +161,8 @@ class Graph(_Value):
         """Return a copy with old vertex v renamed to perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a bijection on the vertex set")
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        return Graph(self.n, edges, selfloops_allowed=True)
+        return Graph(self.n, [(perm[u], perm[v]) for u, v in self._pairs()],
+                     selfloops_allowed=True)
 
     def induced(self, vertices):
         """Subgraph induced on the given vertices, relabeled to 0..k-1."""
@@ -142,7 +170,7 @@ class Graph(_Value):
         if verts and not (0 <= verts[0] and verts[-1] < self.n):
             raise ValueError("vertex out of range")
         index = {v: i for i, v in enumerate(verts)}
-        edges = [(index[u], index[v]) for u, v in self.edges
+        edges = [(index[u], index[v]) for u, v in self._pairs()
                  if u in index and v in index]
         return Graph(len(verts), edges, selfloops_allowed=True)
 
@@ -152,19 +180,16 @@ class Graph(_Value):
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return (self.n == other.n and self._adj == other._adj
+                and self._loops == other._loops)
 
     def __hash__(self):
-        # Computed on first use: most quotients are never hashed.
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.n, self.edges)))
-            return self._hash
+        return self._hash
 
     def __reduce__(self):
         # The flag readmits a quotient's selfloops; a copy rehashes itself.
-        return Graph, (self.n, self.edges, True)
+        # The edges go out uncached, so a copied host keeps no edge set.
+        return Graph, (self.n, self._pairs(), True)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_list()})"
@@ -242,9 +267,11 @@ def quotient(graph, partition):
         raise PartitionError(
             f"partition covers {partition.n} vertices, graph has {graph.n}")
     block_of = partition.block_of
-    edges = set()
-    for u, v in graph.edges:
-        edges.add((block_of[u], block_of[v]))
+    # A set, so parallel images reach the constructor once.
+    edges = {(block_of[u], block_of[v]) for u, vs in enumerate(graph._adj)
+             for v in vs if u < v}
+    if graph._loops:  # never for the loop-free patterns that expand contracts
+        edges.update([(block_of[v], block_of[v]) for v in graph._loops])
     return Graph(partition.num_blocks(), edges, selfloops_allowed=True)
 
 

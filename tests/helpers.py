@@ -4,13 +4,35 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from operator import mul
+from operator import index, mul
 
 from homlattice import treedp
 from homlattice.errors import HomlatticeError, HostError
 from homlattice.flats import blocks_connected, partition_leq
 from homlattice.graphs import Graph, VertexPartition, breadth_first, \
     canonical_form, canonical_representative
+
+
+def reference_graph_edges(n, edges, selfloops_allowed=False):
+    """The edge set ``Graph`` stored before it kept only adjacency: each
+    edge validated in input order, as sorted pairs with duplicates
+    collapsed and (v, v) per selfloop. Raises what the constructor
+    raises, on the same edge."""
+    n = index(n)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    normalized = set()
+    for u, v in edges:
+        u, v = index(u), index(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            if not selfloops_allowed:
+                raise ValueError(f"selfloop at {u} in a loop-free graph")
+            normalized.add((u, u))
+        else:
+            normalized.add((u, v) if u < v else (v, u))
+    return frozenset(normalized)
 
 
 def random_graph(rng, n, p=0.5):

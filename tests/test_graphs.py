@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -30,8 +32,13 @@ from homlattice.graphs import (
     windmill,
     windmill_parts,
 )
+from homlattice import treedp
+from homlattice.basis import (LinearCombination, count_restricted,
+                              evaluate_combination, expand)
+from homlattice.restrictions import EMB, HOM, LI, locally_injective
 from homlattice.treedp import hom_count
-from helpers import (atlas, iso_classes, random_graph,
+from helpers import (atlas, iso_classes, random_graph, random_host,
+                     reference_graph_edges,
                      reference_canonical_search, reference_count_automorphisms)
 
 
@@ -212,6 +219,125 @@ def test_fields_are_read_only():
         g.extra = 1
     assert g == path(3) and g.edge_list() == [(0, 1), (1, 2)]
     assert hom_count(g, clique(4)) == 36
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges, selfloops_allowed) with duplicate edges, both
+    orientations and, when allowed, selfloops."""
+    n = draw(st.integers(0, 8))
+    loops = draw(st.booleans())
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = [] if n == 0 else draw(st.lists(st.tuples(vertex, vertex),
+                                            max_size=20))
+    if not loops:
+        pairs = [(u, v) for u, v in pairs if u != v]
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=10))
+        pairs += [(v, u) if draw(st.booleans()) else (u, v)
+                  for u, v in again]
+    return n, pairs, loops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists(), st.randoms(use_true_random=False))
+def test_graph_value_matches_reference_edges(case, rnd):
+    """The adjacency-only graph has the value the edge-set constructor
+    gave: edges, m, edge list and masks, an equality and hash that ignore
+    input order and orientation, and quotients, relabelings and induced
+    subgraphs equal to those built from the reference edge set."""
+    n, edges, loops = case
+    reference = reference_graph_edges(n, edges, loops)
+    g = Graph(n, edges, selfloops_allowed=loops)
+    masks, loop_mask = [0] * n, 0
+    for u, v in reference:
+        if u == v:
+            loop_mask |= 1 << u
+        else:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    assert g.adjacency_masks() == (masks, loop_mask)
+    assert g.m == len(reference)
+    assert g.edges == reference and g.edge_list() == sorted(reference)
+
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    rnd.shuffle(shuffled)
+    other = Graph(n, shuffled, selfloops_allowed=True)
+    assert other == g and hash(other) == hash(g)
+    some = edges[:rnd.randrange(len(edges) + 1)]
+    assert (Graph(n, some, True) == g) == \
+        (reference_graph_edges(n, some, True) == reference)
+
+    def built(k, pairs):
+        expected = reference_graph_edges(k, pairs, True)
+        return expected, Graph(k, expected, True)
+
+    partition = VertexPartition.from_labels(
+        [rnd.randrange(n) for _ in range(n)])
+    block = partition.block_of
+    expected, h = built(partition.num_blocks(),
+                        [(block[u], block[v]) for u, v in reference])
+    assert quotient(g, partition) == h
+    assert quotient(g, partition).edges == expected
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    expected, h = built(n, [(perm[u], perm[v]) for u, v in reference])
+    assert g.relabeled(perm) == h and g.relabeled(perm).edges == expected
+    kept = sorted(rnd.sample(range(n), rnd.randrange(n + 1)))
+    at = {v: i for i, v in enumerate(kept)}
+    expected, h = built(len(kept), [(at[u], at[v]) for u, v in reference
+                                    if u in at and v in at])
+    assert g.induced(kept) == h and g.induced(kept).edges == expected
+
+
+_ITEM = st.one_of(st.integers(-2, 9), st.integers(-2, 9),
+                  st.sampled_from([True, 1.0, 2.5, "1", None]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(-1, 8), st.sampled_from([2.5, "3"])),
+       st.lists(st.one_of(st.tuples(_ITEM, _ITEM), st.tuples(_ITEM, _ITEM),
+                          st.tuples(_ITEM), st.tuples(_ITEM, _ITEM, _ITEM),
+                          st.integers(0, 3)), max_size=8),
+       st.booleans())
+def test_graph_errors_match_reference(n, edges, loops):
+    """Every ValueError and TypeError, and the edge it reports first, is
+    the one the edge-set constructor raised."""
+    def outcome(build):
+        try:
+            build(n, edges, loops)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert outcome(Graph) == outcome(reference_graph_edges)
+
+
+def test_counting_builds_no_edge_set():
+    """Counting, expansion and canonical search read adjacency only: no
+    host, pattern, term or counted component has its edge set built.
+    Pickled and copied graphs compare and hash equal, and neither they
+    nor their originals build one either."""
+    host = random_host(random.Random(5), 40, 90)
+    patterns = [cycle(5), cycle(4), path(4), star(3), Graph(4, [(0, 1)])]
+    combination = LinearCombination.build(
+        [(1, EMB, patterns[2]), (2, locally_injective(2), patterns[3]),
+         (1, HOM, patterns[4])])
+    count_restricted(LI, patterns[0], host)
+    hom_count(patterns[1], host)
+    evaluate_combination(combination, host)
+    terms = [term.graph for tau, pattern in
+             [(LI, patterns[0])] + [t[1:] for t in combination.terms]
+             for term in expand(tau, pattern).terms]
+    counted = list(treedp._host_caches(host)[0]._entries)
+    graphs = [host, *patterns, *terms, *counted]
+    assert set(map(id, counted)) - set(map(id, terms))  # components
+    for g in graphs:
+        for other in (pickle.loads(pickle.dumps(g)), copy.copy(g),
+                      copy.deepcopy(g)):
+            assert other == g and hash(other) == hash(g)
+            assert not hasattr(other, "_edges")
+    assert not any(hasattr(g, "_edges") for g in graphs)
 
 
 def _loopy_quotients(rng, graphs):

@@ -3,6 +3,9 @@ import pathlib
 import re
 import subprocess
 import sys
+from random import Random
+
+from helpers import random_host
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -48,6 +51,28 @@ def test_demo_script_runs_from_any_directory(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.rstrip().endswith(": agree")
+
+
+def test_host_scale_script_runs():
+    """The host-scale script builds the tests' uniform host for its seed
+    and reports its build time, its memory and hom(path(3), host), the
+    sum of the squared degrees."""
+    script = "scripts/host_scale.py"
+    assert f"python3 {script} " in README.read_text()
+    run = subprocess.run([sys.executable, script, "--n", "2000", "--m",
+                          "6000", "--seed", "3"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = dict(line.split(": ") for line in run.stdout.splitlines())
+    assert list(lines) == ["host", "build_s", "rss_growth_mb", "vmhwm_mb",
+                           "hom(path(3))"]
+    assert lines["host"] == "2000 vertices, 6000 edges, seed 3"
+    build_s, growth, peak = (float(lines[key]) for key in
+                             ("build_s", "rss_growth_mb", "vmhwm_mb"))
+    assert build_s > 0 and peak > growth
+    host = random_host(Random(3), 2000, 6000)
+    assert int(lines["hom(path(3))"]) == \
+        sum(host.degree(v) ** 2 for v in range(host.n))
 
 
 def _synopsis_variants(words):
