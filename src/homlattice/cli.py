@@ -19,6 +19,7 @@ from .errors import (
     HomlatticeError,
     ParseError,
     PatternSizeError,
+    _decimal,
 )
 from .graphs import Graph
 from .restrictions import max_minor_treewidth, parse_restriction
@@ -39,10 +40,9 @@ def parse_graph(text):
                 raise ParseError("duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"bad problem line: {raw!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad problem line: {raw!r}") from None
+            n, m = _decimal(parts[2]), _decimal(parts[3])
+            if n is None or m is None:
+                raise ParseError(f"bad problem line: {raw!r}")
             if n < 0 or m < 0:
                 raise ParseError("vertex and edge counts must be nonnegative")
         elif parts[0] == "e":
@@ -50,10 +50,9 @@ def parse_graph(text):
                 raise ParseError("edge line before problem line")
             if len(parts) != 3:
                 raise ParseError(f"bad edge line: {raw!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad edge line: {raw!r}") from None
+            u, v = _decimal(parts[1]), _decimal(parts[2])
+            if u is None or v is None:
+                raise ParseError(f"bad edge line: {raw!r}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"endpoint out of range: {raw!r}")
             if u == v:
@@ -94,14 +93,11 @@ def _load_graph(path):
 def _parse_coefficient(text):
     from fractions import Fraction
 
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            coeff = Fraction(int(num), int(den))
-        else:
-            coeff = Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad coefficient: {text!r}") from None
+    num, slash, den = text.partition("/")
+    num, den = _decimal(num), _decimal(den) if slash else 1
+    if num is None or not den:  # not a number, or a zero denominator
+        raise ParseError(f"bad coefficient: {text!r}")
+    coeff = Fraction(num, den)
     if coeff <= 0:
         raise ParseError(f"coefficient must be positive: {text!r}")
     return coeff

@@ -1,4 +1,5 @@
-"""Exception types and the global pattern-size limit."""
+"""Exception types, the global pattern-size limit and the integer reader
+that the input parsers share."""
 
 DEFAULT_PATTERN_LIMIT = 12
 
@@ -29,6 +30,17 @@ class HostError(HomlatticeError):
 
 class TreeError(HomlatticeError):
     """A graph required to be a tree is not one."""
+
+
+def _decimal(text):
+    """The integer that ``text`` spells in ASCII decimal digits after an
+    optional minus sign, else None. ``int`` alone also takes underscores,
+    surrounding spaces, a plus sign and the digits of other scripts, so
+    it would read ``1_0`` as 10."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-"
+                           and text[1:].isdigit()):
+        return int(text)
+    return None
 
 
 def ensure_pattern_size(n, limit=None):

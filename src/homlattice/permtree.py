@@ -23,7 +23,7 @@ gadget builder on the tree it builds); the private passes behind them
 trust their input.
 """
 
-from .errors import HomlatticeError, ParseError, TreeError
+from .errors import HomlatticeError, ParseError, TreeError, _decimal
 from .graphs import Graph, _Value, breadth_first, connected_components
 from .oracle import _check_matrix, permanent_ryser
 
@@ -50,10 +50,9 @@ def parse_matrix(text):
     lines = [line for line in lines if line]
     if not lines:
         raise ParseError("empty matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError(f"bad dimension line: {lines[0]!r}") from None
+    n = _decimal(lines[0])
+    if n is None:
+        raise ParseError(f"bad dimension line: {lines[0]!r}")
     if n < 1:
         raise ParseError("matrix dimension must be positive")
     if len(lines) != n + 1:

@@ -22,7 +22,7 @@ nonzero, so no class of loop-free quotients drops out of it.
 
 from itertools import combinations
 
-from .errors import HomlatticeError, ParseError
+from .errors import HomlatticeError, ParseError, _decimal
 from .flats import blocks_connected
 from .graphs import (Graph, VertexPartition, _Value, bfs_distances, quotient,
                      spider, spider_parts, windmill, windmill_parts)
@@ -81,11 +81,8 @@ def parse_restriction(spec):
     if spec == "li":
         return LI
     if spec.startswith("li:"):
-        try:
-            radius = int(spec[3:])
-        except ValueError:
-            radius = 0
-        if radius < 1:
+        radius = _decimal(spec[3:])
+        if radius is None or radius < 1:
             raise ParseError(f"bad restriction spec {spec!r}")
         return locally_injective(radius)
     raise ParseError(f"bad restriction spec {spec!r}")

@@ -13,24 +13,26 @@ component's vertices along its order (Dechter 1999): each vertex's
 bucket of factors, together with its pattern edges to vertices not yet
 eliminated, is summed over the host's vertices into one factor on the
 remaining neighbours. No scope exceeds the order's width, so a term
-costs |V(host)|^(width+1) at most. Buckets of width one pass
-length-|V(host)| vectors along host adjacency; a tree's leaves pass
-their host degrees without reading the adjacency. Wider buckets run one
-kernel per bucket shape, written as Python source and compiled on the
-shape's first use (see ``_kernel``): a nested loop per variable, with
-forward checking (Haralick and Elliott 1980) unrolled into
-``isdisjoint`` and ``&`` on named locals, so each image narrows the
-domains of the later variables at once and a dead branch is cut off
-where it starts. Factors are nested dicts in elimination order, which
-a kernel descends as tries. Buckets of the same shape share one table
-while a factor holds it, and the last joined bucket adds straight into
-the count without a table (see ``_eliminate``). That last join counts
-each orbit of its interchangeable levels once: twin levels, which a
-swap leaves the bucket unchanged under, take their images in
-non-decreasing order, and each assignment weighs as many as its orbit
-holds (see ``_twins`` and ``_source``), so the triangle meets each host
-edge in one direction only. Counts are arbitrary-precision integers, so
-hosts can be large as long as the width stays small.
+costs |V(host)|^(width+1) at most. A component's buckets depend on the
+pattern alone, so they are worked out once per pattern and order as
+steps that name no host (see ``_steps``), and each host replays them
+(see ``_eliminate``). Buckets of width one pass length-|V(host)|
+vectors along host adjacency; a tree's leaves pass their host degrees
+without reading the adjacency. Wider buckets run one kernel per bucket
+shape, written as Python source and compiled on the shape's first use
+(see ``_kernel``): a nested loop per variable, with forward checking
+(Haralick and Elliott 1980) unrolled into ``isdisjoint`` and ``&`` on
+named locals, so each image narrows the domains of the later variables
+at once and a dead branch is cut off where it starts. Factors are
+nested dicts in elimination order, which a kernel descends as tries.
+Buckets of the same shape share one table while a factor holds it, and
+the last joined bucket adds straight into the count without a table.
+That last join counts each orbit of its interchangeable levels once:
+twin levels, which a swap leaves the bucket unchanged under, take their
+images in non-decreasing order, and each assignment weighs as many as
+its orbit holds (see ``_twins`` and ``_source``), so the triangle meets
+each host edge in one direction only. Counts are arbitrary-precision
+integers, so hosts can be large as long as the width stays small.
 
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
@@ -195,7 +197,7 @@ def treewidth_exact(graph, limit=None):
 @lru_cache(maxsize=1024)
 def _twins(key):
     """Classes of interchangeable levels of the bucket that ``key``
-    describes (see ``_eliminate``): sorted tuples of two or more levels.
+    describes (see ``_steps``): sorted tuples of two or more levels.
 
     Levels i and j are twins when swapping them maps the bucket's pattern
     edges onto themselves and its factors onto its factors with equal
@@ -244,55 +246,21 @@ def _twins(key):
     return tuple(classes)
 
 
-def _vector_message(pattern, adj, v, scope, bucket):
-    """Sum v out of a bucket of unary factors with at most one neighbour
-    left: msg[y] is the sum over host neighbours x of y of the product of
-    the factors at x. Takes the same arguments as ``_join``."""
-    weights = None
-    for _, table in bucket:
-        weights = table if weights is None else [
-            a * b for a, b in zip(weights, table)]
-    if not scope:
-        return len(adj) if weights is None else sum(weights)
-    if weights is None:
+def _vector_message(adj, *tables):
+    """Sum v out of a bucket of vectors at v with one neighbour y left:
+    msg[y] sums, over the host neighbours x of y, the product of the
+    tables at x, or 1 without tables."""
+    if not tables:
         return [len(near) for near in adj]
-    at = weights.__getitem__
+    at = reduce(lambda a, b: list(map(mul, a, b)), tables).__getitem__
     return [sum(map(at, near)) for near in adj]
 
 
-def _join(pattern, adj, v, scope, bucket, summed=False, twins=()):
-    """Sum v out of a bucket by one join over v and then the scope, run by
-    the compiled kernel of the bucket's shape (see ``_kernel``).
-
-    The shape names no host and no pattern vertex: the scope's length,
-    the pattern edges among v and the scope as level pairs, each
-    factor's levels, table slot (a table held twice takes one) and kind,
-    a vector over host vertices or nested dicts, ``summed`` and
-    ``twins``. Returns the sum for an empty scope, a vector over the
-    host's vertices for one variable, and for more, nested dicts of the
-    nonzero entries keyed in scope order, like the factors. With
-    ``summed`` the scope is summed out too, so it returns the total; the
-    bucket may then hold factors without v. ``twins``, given with
-    ``summed`` only, holds the bucket's classes of interchangeable levels
-    (see ``_twins``), and the join counts once per orbit of their
-    permutations. A factor whose scope is not in elimination order would
-    be read along the wrong levels, so it raises ``AssertionError``.
-    """
-    variables = (v,) + scope
-    rank = {u: i for i, u in enumerate(variables)}
-    edges = tuple((j, k) for k, u in enumerate(variables) for j in range(k)
-                  if variables[j] in pattern.neighbors(u))
-    tables, slots, factors = [], {}, []
-    for f_scope, table in bucket:
-        levels = tuple(map(rank.__getitem__, f_scope))
-        if list(levels) != sorted(levels):
-            raise AssertionError("factor scope out of elimination order")
-        slot = slots.setdefault(id(table), len(tables))
-        if slot == len(tables):
-            tables.append(table)
-        factors.append((slot, levels, isinstance(table, list)))
-    shape = (len(scope), edges, tuple(factors), summed, twins)
-    return _kernel(shape)(adj, *tables)
+def _root_sum(adj, *tables):
+    """Sum the last vertex out of a bucket of vectors at it."""
+    if not tables:
+        return len(adj)
+    return sum(reduce(lambda a, b: list(map(mul, a, b)), tables))
 
 
 @lru_cache(maxsize=1024)
@@ -306,7 +274,7 @@ def _kernel(shape):
 
 
 def _source(shape):
-    """Python source of the join kernel of a bucket shape (see ``_join``),
+    """Python source of the join kernel of a bucket shape (see ``_steps``),
     built from the shape's integers and fixed names only.
 
     Level i is one loop ``for x{i}``, nested in level i - 1's. Vectors
@@ -429,84 +397,113 @@ def _source(shape):
     return "".join("    " * depth + line + "\n" for depth, line in code)
 
 
-def _eliminate(pattern, host, order, width):
-    """Homomorphism count of a connected pattern by bucket elimination
-    along the given order.
+@lru_cache(maxsize=1024)
+def _steps(pattern, order, width):
+    """The elimination of a connected pattern along ``order``, a tuple,
+    as steps that name no host, for ``_eliminate`` to replay on each
+    host. Cached per pattern and order apart from ``_plan``, so
+    ``treewidth_exact`` compiles nothing.
 
-    Factors are (scope, table, key) triples. A table is a list over host
-    vertices for one variable, and for more, nested dicts keyed by the
-    scope's variables in order with the nonzero values at the leaves.
-    Scopes list their variables in elimination order, so the bucket that
-    takes a factor, that of its first variable, reads the table as it is.
-    Pattern edges stay implicit as host adjacency, each used by the bucket
-    of its first eliminated endpoint.
+    Factors are (scope, slot, key), scopes in elimination order, so the
+    bucket of a factor's first variable reads its table as it is: a
+    vector over host vertices for one variable, and for more, nested
+    dicts of the nonzero entries keyed in scope order. Each pattern edge
+    is read as host adjacency by the bucket of its first eliminated
+    endpoint. A bucket that computes is one step ``(run, reads, key,
+    frees)``: step k fills slot k with ``run(adj, *tables)`` over the
+    slots in ``reads``, ``key`` is a unary bucket's key in the host's
+    vector store (None for other buckets), and ``frees`` holds the slots
+    that no later step reads. The last step's value is the count.
 
     A key describes the bucket that made a table without naming pattern
-    vertices: the pattern edges among v and its scope as level pairs, and
-    the sorted (key, levels) of the bucket's factors. Every scope variable
-    is v's neighbour or in one of those factors, so equal keys give equal
-    tables, and a bucket whose key a remaining factor holds takes that
-    factor's table as it is. A table is freed when the last factor
-    holding it leaves, so no more tables are held than when every bucket
-    builds its own. The last join bucket, v with a scope that holds every
-    vertex left, joins all remaining factors and returns their sum, so
-    ``cycle(4)`` and ``cycle(5)``, canonically labelled, tabulate only
-    their common neighbours, once. If that bucket's key is held too, it
-    shares the table like any other bucket, and the next vertex's bucket
-    sums it against the rest: ``cycle(4)`` sums the square of its
-    common-neighbour table. The last join takes the twin classes of its
-    whole bucket, that key over every remaining factor (see ``_twins``).
-
-    Unary buckets pass vectors; a tree's root sums its own. Keys name no
-    pattern vertex, so equal keys give equal vectors on one host, across
-    patterns too. Every unary bucket with a scope looks its key up in the
-    host's vector store (see ``_host_caches``) before it computes the
-    vector and stores it. Root sums are left to the count memo, and wider
-    tables still leave with their last reader.
+    vertices: the pattern edges among v and its scope as level pairs,
+    and the sorted (key, levels) of the bucket's factors. Every scope
+    variable is v's neighbour or in one of those factors, so equal keys
+    give equal tables, and a bucket whose key a remaining factor holds
+    takes that factor's slot and computes nothing; no more tables are
+    held than when every bucket builds its own. Unary buckets pass
+    vectors, and the last vertex sums its own. Any other bucket runs
+    the kernel (see ``_kernel``) of its shape, built from the same edges
+    and levels as its key: the scope's length, the edges, each factor's
+    position in ``reads`` (a table held twice is read once), levels and
+    kind (vector or dicts), whether it is summed, and its twins. The
+    last join bucket, v with a scope that holds every vertex left, sums
+    all remaining factors into the count, with the twin classes of that
+    whole bucket (see ``_twins``): ``cycle(4)`` and ``cycle(5)``,
+    canonically labelled, tabulate only their common neighbours, once.
+    If its key is held, it shares that table like any other bucket, and
+    ``cycle(4)`` sums its square. A scope wider than ``width``, or a
+    factor out of elimination order, raises ``AssertionError``.
     """
-    adj = host._adj  # the host's own adjacency tuple, not a copy
-    vectors = _host_caches(host)[1]
-    factors = []
     position = {u: i for i, u in enumerate(order)}
+    factors, steps = [], []
     for i, v in enumerate(order):
         bucket = [f for f in factors if v in f[0]]
-        scope = {u for u in pattern.neighbors(v) if position[u] > i}
-        for f_scope, _, _ in bucket:
-            scope.update(f_scope)
-        scope.discard(v)
+        scope = {u for u in pattern.neighbors(v) if position[u] > i}.union(
+            *(f[0] for f in bucket)) - {v}
         if len(scope) > width:
             raise AssertionError("elimination scope exceeds the order's width")
         scope = tuple(sorted(scope, key=position.__getitem__))
         if not scope:
-            return _vector_message(pattern, adj, v, scope,
-                                   [f[:2] for f in bucket])
+            steps.append((_root_sum, tuple(s for _, s, _ in bucket), None))
+            break
         variables = (v,) + scope
         level = {u: j for j, u in enumerate(variables)}
-        key = (tuple((j, k) for k, u in enumerate(variables)
-                     for j in range(k)
-                     if variables[j] in pattern.neighbors(u)),
-               tuple(sorted((f_key, tuple(map(level.__getitem__, f_scope)))
-                            for f_scope, _, f_key in bucket)))
-        table = next((t for _, t, k in factors if k == key), None)
-        if table is None:
-            unary = len(scope) == 1 and all(len(f[0]) == 1 for f in bucket)
-            if not unary and len(scope) == len(order) - i - 1:
-                whole = (key[0], tuple(sorted(
-                    (f_key, tuple(map(level.__getitem__, f_scope)))
-                    for f_scope, _, f_key in factors)))
-                return _join(pattern, adj, v, scope,
-                             [f[:2] for f in factors], summed=True,
-                             twins=_twins(whole))
-            table = vectors.get(key) if unary else None
-            if table is None:
-                step = _vector_message if unary else _join
-                table = step(pattern, adj, v, scope, [f[:2] for f in bucket])
-                if not table:
-                    return 0
-                if unary:
-                    vectors.put(key, table)
+        edges = tuple((j, k) for k, u in enumerate(variables) for j in range(k)
+                      if variables[j] in pattern.neighbors(u))
+        whole = len(scope) == len(order) - i - 1
+        group = [(s, f_key, tuple(map(level.__getitem__, f_scope)))
+                 for f_scope, s, f_key in (factors if whole else bucket)]
+        if any(list(levels) != sorted(levels) for _, _, levels in group):
+            raise AssertionError("factor scope out of elimination order")
+        key = (edges, tuple(sorted(h[1:] for h in group if 0 in h[2])))
+        slot = next((s for _, s, k in factors if k == key), None)
+        if slot is None:
+            slot = len(steps)
+            if len(scope) == 1 and all(len(f[0]) == 1 for f in bucket):
+                steps.append((_vector_message,
+                              tuple(s for _, s, _ in bucket), key))
+            else:
+                reads = tuple(dict.fromkeys(s for s, _, _ in group))
+                twins = _twins((edges, tuple(sorted(
+                    h[1:] for h in group)))) if whole else ()
+                steps.append((_kernel((len(scope), edges, tuple(
+                    (reads.index(s), levels, len(levels) == 1)
+                    for s, _, levels in group), whole, twins)), reads, None))
+                if whole:
+                    break
         factors = [f for f in factors if v not in f[0]]
-        factors.append((scope, table, key))
+        factors.append((scope, slot, key))
+    last = {}  # slot -> the last step that reads it, or fills it
+    for k, (_, reads, _) in enumerate(steps):
+        last.update(dict.fromkeys(reads + (k,), k))
+    return tuple((*step, tuple(s for s, k in last.items() if k == j))
+                 for j, step in enumerate(steps))
+
+
+def _eliminate(pattern, host, order, width):
+    """Homomorphism count of a connected pattern on a host: the steps of
+    ``_steps`` replayed in order, each table freed after the last step
+    that reads it. A unary bucket's vector is looked up in the host's
+    vector store (see ``_host_caches``) before it is computed and
+    stored; keys name no pattern vertex, so patterns share vectors on one
+    host. Root sums and summed joins are left to the count memo, and an
+    empty table ends the count at 0."""
+    adj = host._adj  # the host's own adjacency tuple, not a copy
+    vectors = _host_caches(host)[1]
+    tables = []
+    for run, reads, key, frees in _steps(pattern, order, width):
+        table = vectors.get(key) if key else None
+        if table is None:
+            table = run(adj, *map(tables.__getitem__, reads))
+            if not table:
+                return 0
+            if key:
+                vectors.put(key, table)
+        tables.append(table)
+        for s in frees:
+            tables[s] = None
+    return table
 
 
 def hom_count(pattern, host, limit=None):

@@ -6,7 +6,6 @@ from itertools import combinations
 from math import factorial
 from operator import index, mul
 
-from homlattice import treedp
 from homlattice.errors import HomlatticeError, HostError
 from homlattice.flats import blocks_connected, partition_leq
 from homlattice.graphs import Graph, VertexPartition, breadth_first, \
@@ -662,14 +661,15 @@ def _reference_trie(scope, table, rank):
 
 
 def reference_join(pattern, adj, v, scope, bucket):
-    """Second oracle for ``treedp._join``, the join it replaced: sum v out
-    of any bucket by one join over v and then the scope, with no forward
-    checking. A variable's candidates are the host neighbourhoods of its
-    pattern neighbours assigned before it, intersected with the trie level
-    of every factor that holds it; a branch is found dead only when its
-    last level's candidate set is empty. Takes factor tables in any
-    nesting and returns a vector for one scope variable, the sum for none,
-    and a dict keyed by scope tuples for more."""
+    """Second oracle for the compiled joins (``treedp._kernel``), the join
+    they replaced: sum v out of any bucket by one join over v and then the
+    scope, with no forward checking. A variable's candidates are the host
+    neighbourhoods of its pattern neighbours assigned before it,
+    intersected with the trie level of every factor that holds it; a
+    branch is found dead only when its last level's candidate set is
+    empty. Takes factor tables in any nesting and returns a vector for
+    one scope variable, the sum for none, and a dict keyed by scope tuples
+    for more."""
     variables = (v,) + scope
     rank = {u: i for i, u in enumerate(variables)}
     earlier = [[j for j in range(i) if variables[j] in pattern.neighbors(u)]
@@ -731,10 +731,11 @@ def reference_join(pattern, adj, v, scope, bucket):
 
 def interpreted_join(pattern, adj, v, scope, bucket, summed=False,
                      twins=()):
-    """Second oracle for ``treedp._join``, the orbit-aware join it
-    replaced: the same arguments and results, but one interpreted join
-    that walks the bucket's description per image instead of one
-    compiled kernel per bucket shape.
+    """Second oracle for the compiled joins (``treedp._kernel``), the
+    orbit-aware join they replaced: the arguments of ``reference_join``
+    and ``summed`` and ``twins`` as a kernel's shape holds them, but one
+    interpreted join that walks the bucket's description per image
+    instead of one compiled kernel per bucket shape.
 
     The join assigns v first and then the scope's variables in order,
     reads each factor's nested table as a trie along its scope and
@@ -879,10 +880,9 @@ def interpreted_join(pattern, adj, v, scope, bucket, summed=False,
 def reference_eliminate(pattern, host, order, width):
     """Second oracle for ``treedp._eliminate``, the elimination it
     replaced: every bucket takes the factors holding v and is tabulated
-    by ``treedp._vector_message`` or ``treedp._join`` on its own, no two
-    buckets share a table, and the last vertex's bucket is summed by the
-    vector step. Factors are (scope, table) pairs with scopes in
-    elimination order."""
+    by ``reference_join`` on its own, no two buckets share a table, and
+    the last vertex's bucket is summed the same way. Factors are (scope,
+    table) pairs with scopes in elimination order."""
     adj = host._adj
     total = 1
     factors = []
@@ -897,9 +897,7 @@ def reference_eliminate(pattern, host, order, width):
         if len(scope) > width:
             raise AssertionError("elimination scope exceeds the order's width")
         scope = tuple(sorted(scope, key=position.__getitem__))
-        unary = len(scope) <= 1 and all(len(s) == 1 for s, _ in bucket)
-        step = treedp._vector_message if unary else treedp._join
-        table = step(pattern, adj, v, scope, bucket)
+        table = reference_join(pattern, adj, v, scope, bucket)
         if not scope:
             total *= table
         elif table:

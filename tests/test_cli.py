@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,25 @@ def test_parse_graph_rejects_malformed():
     for text in cases:
         with pytest.raises(ParseError):
             parse_graph(text)
+
+
+def test_graph_numbers_take_ascii_decimal_digits_only(capsys, write):
+    """``int`` would read ``1_0`` as 10, and also take spaces inside a
+    field, a plus sign and the digits of other scripts."""
+    for line, bad in [("p edge 1_0 0", "bad problem line"),
+                      ("p edge \uff13 0", "bad problem line"),
+                      ("p edge +3 0", "bad problem line"),
+                      ("p edge 3 1\ne 1 2_", "bad edge line"),
+                      ("p edge 3 1\ne \u0661 2", "bad edge line"),
+                      ("p edge -1 0", "must be nonnegative")]:
+        with pytest.raises(ParseError, match=bad):
+            parse_graph(line + "\n")
+    assert parse_graph("p edge 010 1\ne 1 09\n") == Graph(10, [(0, 8)])
+    host = write("k3.g", serialize_graph(clique(3)))
+    assert main(["count", "--tau", "hom", "--pattern",
+                 write("bad.g", "p edge 1_0 0\n"), "--host", host]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad problem line: 'p edge 1_0 0'\n")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -172,6 +192,28 @@ def test_manifest_rejects_bad_lines(write, graph_file):
         host = graph_file("host.g", clique(3))
         assert main(["lincomb", "--manifest", manifest,
                      "--host", host]) == 2
+
+
+def test_manifest_coefficients_take_ascii_decimal_digits_only(capsys,
+                                                              write):
+    for text, message in [("1_0/3", "bad coefficient: '1_0/3'"),
+                          ("1/3_", "bad coefficient: '1/3_'"),
+                          ("+2", "bad coefficient: '+2'"),
+                          ("\u0663", "bad coefficient: '\u0663'"),
+                          ("1/", "bad coefficient: '1/'"),
+                          ("-1/3", "coefficient must be positive: '-1/3'")]:
+        with pytest.raises(ParseError) as caught:
+            parse_manifest(f"{text} hom k3.g\n", "")
+        assert str(caught.value) == message
+    write("k3.g", serialize_graph(clique(3)))
+    entries = parse_manifest("06/4 hom k3.g\n-1/-2 li k3.g\n",
+                             os.path.dirname(write("unused", "")))
+    assert [coeff for coeff, _, _ in entries] == [Fraction(3, 2),
+                                                  Fraction(1, 2)]
+    manifest = write("bad.lc", "1_0/3 hom k3.g\n")
+    assert main(["lincomb", "--manifest", manifest, "--host",
+                 write("host.g", serialize_graph(clique(3)))]) == 2
+    assert capsys.readouterr().err == "error: bad coefficient: '1_0/3'\n"
 
 
 def test_perm_gadget_command(capsys, write):

@@ -264,3 +264,15 @@ def test_parse_matrix():
     for bad in ("", "x", "2\n1 0", "2\n1 2\n0 1", "2\n1\n0 1", "0"):
         with pytest.raises(ParseError):
             parse_matrix(bad)
+
+
+def test_matrix_dimension_takes_ascii_decimal_digits_only():
+    """``int`` would read ``0_1`` as 1, and also take a plus sign and the
+    digits of other scripts."""
+    for dimension in ("0_1", "+1", "\u0661", "1 1"):
+        with pytest.raises(ParseError) as caught:
+            parse_matrix(f"{dimension}\n1\n")
+        assert str(caught.value) == f"bad dimension line: {dimension!r}"
+    with pytest.raises(ParseError, match="must be positive"):
+        parse_matrix("-1\n1\n")
+    assert parse_matrix("01\n1\n") == [[1]]

@@ -75,6 +75,33 @@ def test_host_scale_script_runs():
         sum(host.degree(v) ** 2 for v in range(host.n))
 
 
+def test_code_lines_script_runs(tmp_path):
+    """The code-line script counts every module of the package and their
+    total, and on a sample package it skips blank lines, comments and
+    docstrings, but not a string that is code."""
+    script = "scripts/code_lines.py"
+    assert f"python3 {script}" in README.read_text()
+    run = subprocess.run([sys.executable, script], cwd=ROOT,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    counts = dict(line.split(": ") for line in run.stdout.splitlines())
+    package = ROOT / "src" / "homlattice"
+    modules = sorted(str(source.relative_to(package))
+                     for source in package.rglob("*.py"))
+    assert list(counts) == modules + ["total"]
+    assert int(counts.pop("total")) == sum(map(int, counts.values()))
+    sample = tmp_path / "sample"
+    sample.mkdir()
+    (sample / "a.py").write_text(
+        '"""A module\n\ndocstring."""\n\n# a comment\nX = 1  # code\n\n\n'
+        'def f(x):\n    """One line."""\n    return (x +\n            1)\n')
+    (sample / "b.py").write_text('Y = """a string\nthat is code"""\n')
+    run = subprocess.run([sys.executable, script, str(sample)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "a.py: 4\nb.py: 2\ntotal: 6\n"
+
+
 def _synopsis_variants(words):
     """Each way to write a synopsis line: every optional ``[...]`` part
     left out, or given with each of its ``a|b`` alternatives."""

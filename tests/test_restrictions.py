@@ -41,6 +41,16 @@ def test_parse_restriction():
             parse_restriction(bad)
 
 
+def test_restriction_radius_takes_ascii_decimal_digits_only():
+    """``int`` would read ``li:1_0`` as radius 10, and also take a space,
+    a plus sign and the digits of other scripts."""
+    for bad in ("li:1_0", "li: 2", "li:+2", "li:\u0662"):
+        with pytest.raises(ParseError) as caught:
+            parse_restriction(bad)
+        assert str(caught.value) == f"bad restriction spec {bad.strip()!r}"
+    assert parse_restriction(" li:02 ").radius == 2
+
+
 def test_labels():
     assert LI.label() == "li"
     assert locally_injective(2).label() == "li:2"

@@ -84,25 +84,89 @@ def test_engine_matches_both_oracles():
             assert nice_dp_count(pattern, host, td) == expected
 
 
+def _kernel_runs(monkeypatch):
+    """Record every kernel run as (shape, adj, tables, result), on the
+    steps built from now on: ``_steps`` asks ``_kernel`` for each
+    bucket's kernel when it builds a pattern's steps."""
+    kernel = treedp._kernel
+    runs = []
+
+    def traced(shape):
+        join = kernel(shape)
+
+        def run(adj, *tables):
+            result = join(adj, *tables)
+            runs.append((shape, adj, tables, result))
+            return result
+        return run
+
+    monkeypatch.setattr(treedp, "_kernel", traced)
+    treedp._steps.cache_clear()
+    return runs
+
+
+def _bucket(shape, adj, tables):
+    """The bucket that a kernel run joins, as ``reference_join`` takes it:
+    level i is pattern vertex i, v is level 0, and each factor's scope is
+    its levels."""
+    last, edges, factors, _, _ = shape
+    return (Graph(last + 1, edges), adj, 0, tuple(range(1, last + 1)),
+            [(levels, tables[slot]) for slot, levels, _ in factors])
+
+
+def _check_runs(runs):
+    """Each recorded kernel run equals ``reference_join`` on its bucket:
+    its table, or with ``summed`` the table's total."""
+    for shape, adj, tables, result in runs:
+        expected = nonzero_entries(reference_join(*_bucket(shape, adj,
+                                                           tables)))
+        if shape[3]:  # the last bucket: v and its scope summed out
+            assert result == sum(expected.values())
+        else:
+            assert nonzero_entries(result) == expected
+
+
+def _vector_steps(monkeypatch):
+    """Record the name of every vector step run, on the steps built from
+    now on."""
+    calls = []
+    for name in ("_vector_message", "_root_sum"):
+        def run(adj, *tables, step=getattr(treedp, name), name=name):
+            calls.append(name)
+            return step(adj, *tables)
+        monkeypatch.setattr(treedp, name, run)
+    treedp._steps.cache_clear()
+    return calls
+
+
 def test_vector_path_matches_general_join(monkeypatch):
     rng = random.Random(37)
     host = random_host(rng, 40, 90)
-    join = treedp._join
-    joined = []
-
-    def recorded(*args):
-        joined.append(args[0])
-        return join(*args)
-
-    monkeypatch.setattr(treedp, "_join", recorded)
+    runs = _kernel_runs(monkeypatch)
     trees = all_trees(7)
     vector = [hom_count(tree, host) for tree in trees]
-    assert not joined  # every bucket of a tree takes the vector path
-    # Recount with every bucket forced through _join, not from the memo.
+    assert not runs  # every bucket of a tree takes the vector path
+    # Recount with every vector step forced through the compiled join of
+    # its bucket, v at level 0 and every table a vector at v, not from
+    # the memo.
+    forced = []
+
+    def joined(last):
+        def run(adj, *tables):
+            forced.append(last)
+            shape = (last, ((0, 1),) * last,
+                     tuple((s, (0,), True) for s in range(len(tables))),
+                     False, ())
+            return treedp._kernel(shape)(adj, *tables)
+        return run
+
     treedp.hom_cache_clear()
-    monkeypatch.setattr(treedp, "_vector_message", recorded)
+    monkeypatch.setattr(treedp, "_vector_message", joined(1))
+    monkeypatch.setattr(treedp, "_root_sum", joined(0))
+    treedp._steps.cache_clear()
     assert [hom_count(tree, host) for tree in trees] == vector
-    assert set(joined) == set(trees)
+    assert forced.count(0) == len(trees) and 1 in forced
+    assert len(runs) == len(forced)
     assert vector == [nice_dp_count(tree, host, decomposition_from_order(
         tree, treewidth_exact(tree)[1])) for tree in trees]
 
@@ -113,45 +177,17 @@ def test_join_matches_reference_join(monkeypatch):
              random_host(rng, 6, 9), random_graph(rng, 5, 0.7)]
     # 600 edges on the first 180 of 200 vertices: 20 stay isolated.
     hosts.append(Graph(200, random_host(rng, 180, 600).edges))
-    join = treedp._join
-    calls = []
-
-    def recorded(*args, **kwargs):
-        table = join(*args, **kwargs)
-        calls.append((args, kwargs.get("summed", False), table))
-        return table
-
-    monkeypatch.setattr(treedp, "_join", recorded)
+    runs = _kernel_runs(monkeypatch)
     for host in hosts:
         for pattern in (Graph(0),) + graphs_up_to(5):
             hom_count(pattern, host)
-    sizes = {summed: {len(args[3]) for args, kind, _ in calls
-                      if kind == summed}
+    sizes = {summed: {shape[0] for shape, _, _, _ in runs
+                      if shape[3] == summed}
              for summed in (False, True)}
     # A last bucket whose table is live sums that table over its own
     # scope, so a one-variable scope is summed too.
     assert sizes == {False: {1, 2, 3}, True: {1, 2, 3, 4}}
-    for args, summed, table in calls:
-        expected = nonzero_entries(reference_join(*args))
-        if summed:  # the last bucket: v and its scope summed out
-            assert table == sum(expected.values())
-        else:
-            assert nonzero_entries(table) == expected
-
-
-def _summed_joins(monkeypatch):
-    """Record each summed join's arguments, twin classes and total."""
-    join = treedp._join
-    calls = []
-
-    def recorded(*args, **kwargs):
-        table = join(*args, **kwargs)
-        if kwargs.get("summed"):
-            calls.append((args, kwargs["twins"], table))
-        return table
-
-    monkeypatch.setattr(treedp, "_join", recorded)
-    return calls
+    _check_runs(runs)
 
 
 def test_summed_joins_match_reference_join_on_dense_hosts(monkeypatch):
@@ -161,24 +197,26 @@ def test_summed_joins_match_reference_join_on_dense_hosts(monkeypatch):
     without orbits counts every ordering of the twins."""
     rng = random.Random(83)
     hosts = [clique(6)] + [random_graph(rng, 7, 0.9) for _ in range(3)]
-    calls = _summed_joins(monkeypatch)
+    runs = _kernel_runs(monkeypatch)
     for k, pattern in enumerate(atlas()):
         perm = list(range(pattern.n))
         rng.shuffle(perm)
         treedp.hom_cache_clear()
         hom_count(pattern.relabeled(perm), hosts[k % len(hosts)])
+    calls = [run for run in runs if run[0][3]]
     loose = 0  # summed joins whose twins may tie, below the last level
-    for (pattern, adj, v, scope, bucket), twins, total in calls:
-        variables = (v,) + scope
+    for shape, adj, tables, total in calls:
+        pattern, adj, v, scope, bucket = _bucket(shape, adj, tables)
+        twins = shape[4]
         loose += any(len([j for j in levels if j < len(scope)]) > 1
-                     and variables[levels[1]] not in pattern.neighbors(
-                         variables[levels[0]]) for levels in twins)
+                     and levels[1] not in pattern.neighbors(levels[0])
+                     for levels in twins)
         assert total == sum(nonzero_entries(
             reference_join(pattern, adj, v, scope, bucket)).values())
         # The interpreted join weighs each orbit and tie the same way.
         assert total == interpreted_join(pattern, adj, v, scope, bucket,
                                          summed=True, twins=twins)
-    assert len(calls) > 1000 and sum(bool(t) for _, t, _ in calls) > 400
+    assert len(calls) > 1000 and sum(bool(c[0][4]) for c in calls) > 400
     assert loose > 80
 
 
@@ -190,7 +228,7 @@ def test_orbit_shapes_and_work(monkeypatch):
     images 2! and examines each host edge once at level 1, where every
     ordering of the twins took both of its directions."""
     host = random_host(random.Random(89), 200, 600)
-    calls = _summed_joins(monkeypatch)
+    runs = _kernel_runs(monkeypatch)
     keys = []
     twins_of = treedp._twins
     monkeypatch.setattr(treedp, "_twins",
@@ -200,13 +238,14 @@ def test_orbit_shapes_and_work(monkeypatch):
     for pattern, count, twins in [(clique(3), triangles, ((0, 1, 2),)),
                                   (cycle(4), four, ((0, 1),)),
                                   (cycle(7), None, ())]:
-        calls.clear()
+        runs.clear()
         keys.clear()
         treedp.hom_cache_clear()
         total = hom_count(canonical_representative(pattern), host)
         assert count in (None, total)
-        assert [t for _, t, _ in calls] == [twins]
-        shapes[pattern] = calls[0], keys[0]
+        summed = [run for run in runs if run[0][3]]
+        assert [run[0][4] for run in summed] == [twins]
+        shapes[pattern] = summed[0], keys[0]
     # Both factors of the canonical cycle(4)'s summed bucket hold its one
     # common-neighbour table on levels (0, 1); the swap reads it as
     # T(1, 0), which its symmetric positions make T(0, 1).
@@ -225,20 +264,20 @@ def test_orbit_shapes_and_work(monkeypatch):
     examined = []
     adj = tuple(map(Counted, host._adj))
     assert min(map(len, adj)) > 0
-    (pattern, _, v, scope, bucket), twins, total = shapes[clique(3)][0]
+    (shape, _, tables, total), _ = shapes[clique(3)]
     # Level 0 leaves level 2 the neighbourhood of its image, and each
     # level-1 image that level 1 takes is tested against it once.
-    for classes, images in [(twins, host.m), ((), 2 * host.m)]:
+    for classes, images in [(shape[4], host.m), ((), 2 * host.m)]:
         examined.clear()
-        assert treedp._join(pattern, adj, v, scope, bucket, summed=True,
-                            twins=classes) == total
+        assert treedp._kernel(shape[:4] + (classes,))(adj, *tables) == total
         assert len(examined) == images
 
 
 def test_kernels_are_cached_per_shape_and_name_no_host(monkeypatch):
     """The canonical K3's summed join compiles once, on a 6-vertex host,
-    and a 200-vertex host runs the same kernel. Its source holds no
-    integer literal but the levels 0-2 and the orbit weight 2! = 2."""
+    and a 200-vertex host runs the same kernel from the cached steps. Its
+    source holds no integer literal but the levels 0-2 and the orbit
+    weight 2! = 2."""
     source = treedp._source
     sources = []
     monkeypatch.setattr(treedp, "_source", lambda shape: sources.append(
@@ -251,13 +290,43 @@ def test_kernels_are_cached_per_shape_and_name_no_host(monkeypatch):
     for host in (small, large):
         counts.append(hom_count(triangle, host))
         info = treedp._kernel.cache_info()
-        assert (info.misses, info.hits) == (1, len(counts) - 1)
+        assert (info.misses, info.hits) == (1, 0)
     assert counts == [brute_hom(triangle, small), _traces(large)[0]]
     (text,) = sources
     literals = {node.value for node in ast.walk(ast.parse(text))
                 if isinstance(node, ast.Constant) and type(node.value) is int}
     assert literals <= {0, 1, 2}
     assert "2 * total" in text  # no non-adjacent twins: weighed at the end
+
+
+def test_steps_are_built_once_and_replayed_on_every_host(monkeypatch):
+    """Counting one pattern on three hosts builds its steps on the first
+    and replays them on the other two, which compile no kernel and find
+    no twins. ``treewidth_exact`` builds no steps and compiles nothing."""
+    rng = random.Random(101)
+    fresh = random_graph(rng, 9, 0.4)
+    planned = treedp._plan.cache_info().misses
+    sizes = (treedp._kernel.cache_info().currsize,
+             treedp._steps.cache_info().currsize)
+    treewidth_exact(fresh)
+    assert treedp._plan.cache_info().misses == planned + 1
+    assert (treedp._kernel.cache_info().currsize,
+            treedp._steps.cache_info().currsize) == sizes
+    called = []
+    for name in ("_kernel", "_twins"):
+        def traced(key, real=getattr(treedp, name), name=name):
+            called.append(name)
+            return real(key)
+        monkeypatch.setattr(treedp, name, traced)
+    pattern = canonical_representative(cycle(5))
+    for k, n in enumerate((12, 30, 60)):
+        host = random_host(rng, n, 3 * n)
+        called.clear()
+        assert hom_count(pattern, host) == _traces(host)[2]
+        assert ({"_kernel", "_twins"} <= set(called)) == (k == 0)
+        assert called == [] or k == 0
+    info = treedp._steps.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def _both_eliminations(graph, host):
@@ -288,8 +357,9 @@ def test_eliminate_matches_reference_eliminate():
             # Other orders make other buckets, and other tables to share.
             for _ in range(3):
                 rng.shuffle(perm)
-                assert (treedp._eliminate(graph, small, perm, pattern.n)
-                        == reference_eliminate(graph, small, perm,
+                order = tuple(perm)
+                assert (treedp._eliminate(graph, small, order, pattern.n)
+                        == reference_eliminate(graph, small, order,
                                                pattern.n))
     # Eliminating 2, 3, 5 and 6 leaves two buckets with equal edges and
     # equal child tables, held at other levels: their tables differ.
@@ -321,15 +391,7 @@ def test_eliminate_matches_reference_eliminate():
 def test_tables_stay_within_the_common_neighbour_bound(monkeypatch):
     host = random_host(random.Random(67), 300, 900)
     bound = sum(host.degree(x) ** 2 for x in range(host.n))
-    join = treedp._join
-    calls = []
-
-    def recorded(*args, **kwargs):
-        table = join(*args, **kwargs)
-        calls.append((kwargs.get("summed", False), len(args[3]), table))
-        return table
-
-    monkeypatch.setattr(treedp, "_join", recorded)
+    runs = _kernel_runs(monkeypatch)
     # Each cycle's two buckets of common neighbours share one table, and
     # the 3-walk table of the last three vertices is never built. (The
     # default labelling of cycle(5) eliminates two adjacent vertices
@@ -342,53 +404,51 @@ def test_tables_stay_within_the_common_neighbour_bound(monkeypatch):
             (canonical_representative(cycle(4)), 1, 1, four),
             (canonical_representative(cycle(5)), 1, 2, five),
             (clique(3), 0, 2, triangles)]:
-        calls.clear()
+        runs.clear()
         assert hom_count(pattern, host) == count
-        assert [summed for summed, _, _ in calls] == (
+        assert [shape[3] for shape, _, _, _ in runs] == (
             [False] * tabulated + [True])
-        assert calls[-1][1:] == (last_scope, count)
-        for _, _, table in calls[:-1]:
+        assert (runs[-1][0][0], runs[-1][3]) == (last_scope, count)
+        for _, _, _, table in runs[:-1]:
             assert len(nonzero_entries(table)) <= bound
-    vector = treedp._vector_message
-    messages = []
-
-    def counted(*args):
-        messages.append(args[3])
-        return vector(*args)
-
-    monkeypatch.setattr(treedp, "_vector_message", counted)
+    messages = _vector_steps(monkeypatch)
     # Both leaves share one degree vector and both middle vertices one
     # message; the root sums. hom(path(5)) counts the walks with 4 edges.
     middle = [sum(host.degree(y) for y in host.neighbors(x))
               for x in range(host.n)]
     pattern = canonical_representative(path(5))
     assert hom_count(pattern, host) == sum(c * c for c in middle)
-    assert len(messages) == 3
+    assert messages == ["_vector_message"] * 2 + ["_root_sum"]
 
 
 def test_join_tables_leave_with_their_last_reader(monkeypatch):
     """Tables are freed by reference counting alone: with the cyclic
-    collector off, each ``_join`` call finds at most one table over two
-    or more variables alive, the one its own bucket reads. A recursive
+    collector off, each kernel run finds at most one table over two or
+    more variables alive, the one its own bucket reads. A recursive
     closure kept alive by its own reference would hold a finished join's
     input tables until the collector ran."""
     host = random_host(random.Random(67), 300, 900)
-    join = treedp._join
+    kernel = treedp._kernel
     tables = []
     alive = []
 
     class Table(dict):  # a dict that takes weak references
         pass
 
-    def tracked(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in tables))
-        table = join(*args, **kwargs)
-        if isinstance(table, dict):
-            table = Table(table)
-            tables.append(weakref.ref(table))
-        return table
+    def traced(shape):
+        join = kernel(shape)
 
-    monkeypatch.setattr(treedp, "_join", tracked)
+        def tracked(adj, *args):
+            alive.append(sum(ref() is not None for ref in tables))
+            table = join(adj, *args)
+            if isinstance(table, dict):
+                table = Table(table)
+                tables.append(weakref.ref(table))
+            return table
+        return tracked
+
+    monkeypatch.setattr(treedp, "_kernel", traced)
+    treedp._steps.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -438,14 +498,19 @@ def test_cycle_counts_on_large_hosts_are_traces():
 
 def test_scope_beyond_width_is_caught():
     _, order = treedp._exact_order(cycle(4))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="width"):
+        treedp._steps(cycle(4), order, 1)
+    with pytest.raises(AssertionError, match="width"):
         treedp._eliminate(cycle(4), clique(3), order, 1)
 
 
 def test_factor_out_of_elimination_order_is_caught():
     # Tables nest in scope order, which must be the bucket's level order.
-    with pytest.raises(AssertionError):
-        treedp._join(cycle(4), (), 0, (1, 3), [((0, 3, 1), {})])
+    # An order that names vertex 2 twice places it by its last position:
+    # vertex 1's table nests (0, 2), and vertex 2's bucket reads it along
+    # levels (1, 0).
+    with pytest.raises(AssertionError, match="out of elimination order"):
+        treedp._steps(path(3), (1, 2, 0, 2), 3)
 
 
 def test_counts_match_brute_force():
@@ -563,14 +628,7 @@ def test_vector_store_is_bounded_and_cleared(monkeypatch):
     assert len(treedp._memo) == treedp._MEMO_HOSTS
     treedp.hom_cache_clear()
     assert len(treedp._memo) == 0
-    vector = treedp._vector_message
-    messages = []
-
-    def counted(*args):
-        messages.append(args[3])
-        return vector(*args)
-
-    monkeypatch.setattr(treedp, "_vector_message", counted)
+    messages = _vector_steps(monkeypatch)
     host = random_host(rng, 30, 60)
     middle = [sum(host.degree(y) for y in host.neighbors(x))
               for x in range(host.n)]
@@ -583,7 +641,7 @@ def test_vector_store_is_bounded_and_cleared(monkeypatch):
         messages.clear()
         assert hom_count(canonical_representative(path(5)), second) == sum(
             c * c for c in middle)
-        assert messages == [()]
+        assert messages == ["_root_sum"]
 
 
 def test_memo_hits_still_check_limits():
@@ -635,20 +693,7 @@ def test_plan_orders_match_the_subset_dp(monkeypatch):
     patterns += [Graph(7, random_tree(rng, 7).edges - {(0, 1), (0, 2)})
                  for _ in range(3)]
     hosts = [random_host(rng, 5, 7), random_host(rng, 6, 9)]
-    join = treedp._join
-    joined = []
-
-    def checked(*args, **kwargs):
-        table = join(*args, **kwargs)
-        expected = nonzero_entries(reference_join(*args))
-        if kwargs.get("summed"):
-            assert table == sum(expected.values())
-        else:
-            assert nonzero_entries(table) == expected
-        joined.append(args[0])
-        return table
-
-    monkeypatch.setattr(treedp, "_join", checked)
+    runs = _kernel_runs(monkeypatch)
     split = 0
     for pattern in patterns:
         perm = list(range(pattern.n))
@@ -673,7 +718,8 @@ def test_plan_orders_match_the_subset_dp(monkeypatch):
             treedp.hom_cache_clear()
             assert hom_count(graph, host) == nice_dp_count(graph, host, td)
     assert split >= 10
-    assert joined
+    assert runs
+    _check_runs(runs)
 
 
 def test_warm_plans_still_check_limits_and_loops(monkeypatch):
