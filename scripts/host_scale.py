@@ -9,9 +9,18 @@ the ``Graph`` took to build, the resident memory it added over its input
 edge list (``VmRSS`` growth) and the process's peak resident memory
 (``VmHWM``), both read from ``/proc/self/status`` (Linux), and then one
 count, hom(path(3), host), which is the sum of the squared degrees.
+
+    python3 scripts/host_scale.py --n 50000 --m 250000 --seed 3 --drop 4
+
+With ``--drop K`` it builds K such hosts instead, one at a time from
+seeds seed, seed + 1, ..., counts hom(path(3)) once on each and drops
+it, then runs a full garbage collection and prints ``VmRSS`` before the
+first host and after the collection: what the dropped hosts leave
+resident, such as anything the hom-count memo still holds of them.
 """
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
@@ -46,12 +55,30 @@ def status_mb(field):
     raise SystemExit(f"no {field} in /proc/self/status")
 
 
+def drop(args):
+    """Build K hosts in turn, count on each and drop it, then collect."""
+    rss = status_mb("VmRSS")
+    for k in range(args.drop):
+        seed = args.seed + k
+        host = Graph(args.n, uniform_edges(Random(seed), args.n, args.m))
+        print(f"seed {seed} hom(path(3)): {hom_count(path(3), host)}")
+        del host
+    gc.collect()
+    print(f"vmrss_before_mb: {rss:.1f}")
+    print(f"vmrss_after_mb: {status_mb('VmRSS'):.1f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--drop", type=int, metavar="K",
+                        help="build, count on and drop K hosts in turn")
     args = parser.parse_args()
+    if args.drop is not None:
+        drop(args)
+        return
 
     edges = uniform_edges(Random(args.seed), args.n, args.m)
     rss = status_mb("VmRSS")

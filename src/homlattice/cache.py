@@ -37,9 +37,6 @@ class LRUCache:
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    def values(self):
-        return list(self._entries.values())
-
     def clear(self):
         """Drop every entry and reset the counts."""
         self._entries.clear()

@@ -196,9 +196,19 @@ def _cmd_perm_gadget(args):
     return 0
 
 
+def _limit(text):
+    """The ``--limit`` value, read like the integers of input files (see
+    ``errors._decimal``): ``1_0``, `` 2``, ``+3`` and other scripts'
+    digits are usage errors, as ``abc`` is."""
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--limit", type=int, default=None,
+    common.add_argument("--limit", type=_limit, default=None,
                         help="override the pattern-size limit "
                              f"(default {DEFAULT_PATTERN_LIMIT})")
     parser = argparse.ArgumentParser(

@@ -70,10 +70,12 @@ class Graph(_Value):
     the set of looped vertices, each built once from the edge list, with
     the edge count and the hash. The edge set is derived from them on
     first use and kept (see ``edges``); equality and hashing compare the
-    adjacency, which determines it.
+    adjacency, which determines it. Graphs take weak references, so the
+    hom-count memo can hold hosts without keeping them alive.
     """
 
-    __slots__ = ("n", "m", "_adj", "_loops", "_edges", "_hash")
+    __slots__ = ("n", "m", "_adj", "_loops", "_edges", "_hash",
+                 "__weakref__")
     _fields = ("n", "edges")
 
     def __init__(self, n, edges=(), selfloops_allowed=False):

@@ -37,23 +37,28 @@ integers, so hosts can be large as long as the width stays small.
 ``hom_count`` memoises the count of each connected component of its
 pattern per host, so the terms of different expansions, the components
 of disconnected quotients and the entries of a linear combination on one
-host are each counted once. The memo holds one entry per host, matched
-by identity first and then by equality: the host's counts, keyed by
-component ``Graph`` and matched the same way, and beside them its store
-of the vector messages of its unary buckets, keyed by bucket shape, so
-the terms counted on one host rebuild no vector the store still holds,
-such as the leaves' degree vector. The memo holds the ``_MEMO_HOSTS``
-most recently used hosts; each host at most ``_MEMO_TERMS`` counts and
-(n + 2m) // n vectors for n vertices and m edges, so never more vector
-entries than its adjacency. Every level is least recently used first
-out, so a stream of large hosts cannot pin memory, and a host's counts
-and vectors leave together. ``hom_count`` and ``basis.evaluate`` both
-count through ``_hom_sum``, which takes a signed sum of terms, checks
-the host and looks up its memo entry once, and then checks each
-pattern, hit or miss. ``hom_cache_info`` reports on the counts, and
-``hom_cache_clear`` empties the memo.
+host are each counted once. Each host has one store (see ``_Store``),
+keyed by the small ints that ``_intern`` gives the host-free step keys
+of ``_steps``: a component's count sits under its root step's id, and a
+unary bucket's vector message under that bucket's id, so the terms
+counted on one host rebuild no vector the store still holds, such as
+the leaves' degree vector. A warm term is one hit in a per-pattern list
+(see ``_counted``) and one int-keyed lookup per component: no graph is
+hashed or compared per component, and a hit moves nothing. A store
+holds at most ``_MEMO_TERMS`` counts and (n + 2m) // n vectors for n
+vertices and m edges, so never more vector entries than its host's
+adjacency. Hosts are held weakly: a store leaves when its host dies, an
+equal host finds it while it lives, and at most ``_MEMO_HOSTS`` stores
+live, least recently used first out. ``hom_count`` and
+``basis.evaluate`` both count through ``_hom_sum``, which takes a
+signed sum of terms, checks the host and fetches its store once, and
+then checks each pattern, hit or miss. ``hom_cache_info`` reports on the
+counts, and ``hom_cache_clear`` empties every store.
 """
 
+import itertools
+import weakref
+from collections import Counter
 from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
@@ -64,20 +69,63 @@ from .graphs import breadth_first, connected_components
 
 _MEMO_HOSTS = 4
 _MEMO_TERMS = 1024
-# host -> (LRUCache(_MEMO_TERMS) of connected component -> hom count,
-#          LRUCache((n + 2m) // n) of unary bucket key -> vector message)
-_memo = LRUCache(_MEMO_HOSTS)
+# weak reference to a host -> its _Store, least recently used first
+_memo = {}
+# host-free step key -> its id (see _intern); ids are never reused
+_ids = LRUCache(4 * _MEMO_TERMS)
+_fresh = itertools.count(1)
 
 
-def _host_caches(host):
-    """The host's (counts, vectors) pair in ``_memo``, made on the host's
-    first use."""
-    caches = _memo.get(host)
-    if caches is None:
-        caches = (LRUCache(_MEMO_TERMS),
-                  LRUCache((host.n + 2 * host.m) // max(host.n, 1)))
-        _memo.put(host, caches)
-    return caches
+def _intern(key):
+    """The id of a host-free step key (see ``_steps``), shared by equal
+    keys while ``_ids`` holds them. An evicted key takes a new id, and no
+    id is ever given to a second key."""
+    ident = _ids.get(key)
+    if ident is None:
+        ident = next(_fresh)
+        _ids.put(key, ident)
+    return ident
+
+
+class _Store(dict):
+    """One host's memo: step id -> a count or a vector, each kind oldest
+    first out. ``ref`` is the host's weak reference that keys the store
+    in ``_memo``, and ``watch`` removes that entry when the host dies."""
+
+    __slots__ = ("ref", "watch", "bound", "vectors", "hits", "misses")
+
+    def __init__(self, host, ref):
+        super().__init__()
+        self.ref = ref
+        self.watch = weakref.ref(host, lambda _: _memo.pop(ref, None))
+        self.bound = (host.n + 2 * host.m) // max(host.n, 1)
+        self.vectors = []  # vector ids, oldest first
+        self.hits = self.misses = 0
+
+    def put_vector(self, ident, vector):
+        if len(self.vectors) >= self.bound:
+            del self[self.vectors.pop(0)]
+        self.vectors.append(ident)
+        self[ident] = vector
+
+    def put_count(self, ident, value):
+        self.misses += 1
+        if len(self) - len(self.vectors) >= _MEMO_TERMS:
+            del self[next(k for k, v in self.items() if type(v) is int)]
+        self[ident] = value
+
+
+def _store(host):
+    """The host's store in ``_memo``, made on its first use; past
+    ``_MEMO_HOSTS`` stores, the least recently used one leaves."""
+    ref = weakref.ref(host)  # the key itself while the store is held
+    store = _memo.pop(ref, None)
+    if store is None:
+        if len(_memo) >= _MEMO_HOSTS:
+            del _memo[next(iter(_memo))]
+        store = _Store(host, ref)
+    _memo[store.ref] = store
+    return store
 
 
 def _boundary_size(adj_masks, elim_mask, v):
@@ -400,8 +448,9 @@ def _source(shape):
 @lru_cache(maxsize=1024)
 def _steps(pattern, order, width):
     """The elimination of a connected pattern along ``order``, a tuple,
-    as steps that name no host, for ``_eliminate`` to replay on each
-    host. Cached per pattern and order apart from ``_plan``, so
+    as ``(root, steps)``: steps that name no host, for ``_eliminate`` to
+    replay on each host, and the id that each host's store keeps the
+    count under. Cached per pattern and order apart from ``_plan``, so
     ``treewidth_exact`` compiles nothing.
 
     Factors are (scope, slot, key), scopes in elimination order, so the
@@ -409,11 +458,12 @@ def _steps(pattern, order, width):
     vector over host vertices for one variable, and for more, nested
     dicts of the nonzero entries keyed in scope order. Each pattern edge
     is read as host adjacency by the bucket of its first eliminated
-    endpoint. A bucket that computes is one step ``(run, reads, key,
+    endpoint. A bucket that computes is one step ``(run, reads, ident,
     frees)``: step k fills slot k with ``run(adj, *tables)`` over the
-    slots in ``reads``, ``key`` is a unary bucket's key in the host's
-    vector store (None for other buckets), and ``frees`` holds the slots
-    that no later step reads. The last step's value is the count.
+    slots in ``reads``, ``ident`` is a unary bucket's id in the host's
+    store (None for other buckets; see ``_intern``), and ``frees`` holds
+    the slots that no later step reads. The last step's value is the
+    count.
 
     A key describes the bucket that made a table without naming pattern
     vertices: the pattern edges among v and its scope as level pairs,
@@ -432,8 +482,16 @@ def _steps(pattern, order, width):
     whole bucket (see ``_twins``): ``cycle(4)`` and ``cycle(5)``,
     canonically labelled, tabulate only their common neighbours, once.
     If its key is held, it shares that table like any other bucket, and
-    ``cycle(4)`` sums its square. A scope wider than ``width``, or a
-    factor out of elimination order, raises ``AssertionError``.
+    ``cycle(4)`` sums its square. The root id interns the whole last
+    bucket, its edges and every factor it sums with their levels, so
+    equal ids give equal counts; its key alone would not, since it
+    names only the factors that hold v.
+
+    A step whose table no later step reads is dropped, latest first, so
+    that a step only it read goes too: the bucket that held its factor
+    shared an equal table that an earlier bucket built. Kernels are
+    compiled for the steps that stay. A scope wider than ``width``, or
+    a factor out of elimination order, raises ``AssertionError``.
     """
     position = {u: i for i, u in enumerate(order)}
     factors, steps = [], []
@@ -444,9 +502,6 @@ def _steps(pattern, order, width):
         if len(scope) > width:
             raise AssertionError("elimination scope exceeds the order's width")
         scope = tuple(sorted(scope, key=position.__getitem__))
-        if not scope:
-            steps.append((_root_sum, tuple(s for _, s, _ in bucket), None))
-            break
         variables = (v,) + scope
         level = {u: j for j, u in enumerate(variables)}
         edges = tuple((j, k) for k, u in enumerate(variables) for j in range(k)
@@ -456,7 +511,11 @@ def _steps(pattern, order, width):
                  for f_scope, s, f_key in (factors if whole else bucket)]
         if any(list(levels) != sorted(levels) for _, _, levels in group):
             raise AssertionError("factor scope out of elimination order")
-        key = (edges, tuple(sorted(h[1:] for h in group if 0 in h[2])))
+        held = tuple(sorted(h[1:] for h in group))
+        if not scope:
+            steps.append((_root_sum, tuple(s for _, s, _ in bucket), None))
+            break
+        key = (edges, tuple(h for h in held if 0 in h[1]))
         slot = next((s for _, s, k in factors if k == key), None)
         if slot is None:
             slot = len(steps)
@@ -465,45 +524,67 @@ def _steps(pattern, order, width):
                               tuple(s for _, s, _ in bucket), key))
             else:
                 reads = tuple(dict.fromkeys(s for s, _, _ in group))
-                twins = _twins((edges, tuple(sorted(
-                    h[1:] for h in group)))) if whole else ()
-                steps.append((_kernel((len(scope), edges, tuple(
+                twins = _twins((edges, held)) if whole else ()
+                steps.append(((len(scope), edges, tuple(
                     (reads.index(s), levels, len(levels) == 1)
-                    for s, _, levels in group), whole, twins)), reads, None))
+                    for s, _, levels in group), whole, twins), reads, None))
                 if whole:
                     break
         factors = [f for f in factors if v not in f[0]]
         factors.append((scope, slot, key))
-    last = {}  # slot -> the last step that reads it, or fills it
-    for k, (_, reads, _) in enumerate(steps):
-        last.update(dict.fromkeys(reads + (k,), k))
-    return tuple((*step, tuple(s for s, k in last.items() if k == j))
-                 for j, step in enumerate(steps))
+    root = _intern(("count", edges, held))
+    readers = Counter(s for _, reads, _ in steps for s in reads)
+    for k in range(len(steps) - 2, -1, -1):
+        if not readers[k]:
+            readers.subtract(steps[k][1])
+            steps[k] = None
+    renamed, kept = {}, []  # slot -> its step's index among those kept
+    last = {}  # kept slot -> the last step that reads it, or fills it
+    for k, step in enumerate(steps):
+        if step:
+            run, reads, key = step
+            j = renamed[k] = len(kept)
+            reads = tuple(map(renamed.__getitem__, reads))
+            last.update(dict.fromkeys(reads + (j,), j))
+            kept.append((run if callable(run) else _kernel(run), reads,
+                         key and _intern(key)))
+    return root, tuple((*step, tuple(s for s, k in last.items() if k == j))
+                       for j, step in enumerate(kept))
 
 
 def _eliminate(pattern, host, order, width):
     """Homomorphism count of a connected pattern on a host: the steps of
     ``_steps`` replayed in order, each table freed after the last step
     that reads it. A unary bucket's vector is looked up in the host's
-    vector store (see ``_host_caches``) before it is computed and
-    stored; keys name no pattern vertex, so patterns share vectors on one
-    host. Root sums and summed joins are left to the count memo, and an
+    store (see ``_store``) before it is computed and stored; its id
+    names no pattern vertex, so patterns share vectors on one host.
+    Root sums and summed joins are left to the caller's store, and an
     empty table ends the count at 0."""
     adj = host._adj  # the host's own adjacency tuple, not a copy
-    vectors = _host_caches(host)[1]
+    store = _store(host)
     tables = []
-    for run, reads, key, frees in _steps(pattern, order, width):
-        table = vectors.get(key) if key else None
+    for run, reads, ident, frees in _steps(pattern, order, width)[1]:
+        table = store.get(ident) if ident else None
         if table is None:
             table = run(adj, *map(tables.__getitem__, reads))
             if not table:
                 return 0
-            if key:
-                vectors.put(key, table)
+            if ident:
+                store.put_vector(ident, table)
         tables.append(table)
         for s in frees:
             tables[s] = None
     return table
+
+
+@lru_cache(maxsize=1024)
+def _counted(pattern):
+    """``(root id, component, order, width)`` per component of the
+    pattern's plan (see ``_plan``, whose None stands for the pattern
+    itself), kept apart from it so ``treewidth_exact`` compiles nothing."""
+    return tuple((_steps(pattern if comp is None else comp, order, width)[0],
+                  comp, order, width)
+                 for comp, width, order in _plan(pattern)[2])
 
 
 def hom_count(pattern, host, limit=None):
@@ -519,44 +600,54 @@ def hom_count(pattern, host, limit=None):
 
 def _hom_sum(terms, host, limit=None):
     """Sum of c * hom_count(pattern, host, limit) over the (c, pattern)
-    pairs of ``terms``. The host is checked and its counts fetched from
-    the memo once for them all; each pattern still gets its loop-free and
-    size checks, and each component of its plan is a hit or a miss in
-    the host's counts."""
+    pairs of ``terms``. The host is checked and its store fetched once
+    for them all; each pattern still gets its loop-free and size checks,
+    and each component of it is one int-keyed hit or miss in the store."""
     if not host.is_loop_free():
         raise HostError("host must be loop-free")
-    counts = _host_caches(host)[0]
-    total = 0
-    for coefficient, pattern in terms:
-        if not pattern.is_loop_free():
-            raise HomlatticeError("pattern must be loop-free")
-        ensure_pattern_size(pattern.n, limit)
-        product = 1
-        for comp, width, order in _plan(pattern)[2]:
-            if comp is None:
-                comp = pattern
-            count = counts.get(comp)
-            if count is None:
-                count = _eliminate(comp, host, order, width)
-                counts.put(comp, count)
-            product *= count
-            if product == 0:
-                break
-        total += coefficient * product
+    store = _store(host)
+    get = store.get
+    total = hits = 0
+    try:
+        for coefficient, pattern in terms:
+            if not pattern.is_loop_free():
+                raise HomlatticeError("pattern must be loop-free")
+            ensure_pattern_size(pattern.n, limit)
+            product = 1
+            for root, comp, order, width in _counted(pattern):
+                count = get(root)
+                if count is None:
+                    count = _eliminate(pattern if comp is None else comp,
+                                       host, order, width)
+                    store.put_count(root, count)
+                else:
+                    hits += 1
+                product *= count
+                if product == 0:
+                    break
+            total += coefficient * product
+    finally:
+        store.hits += hits
     return total
 
 
 def hom_cache_info():
-    """Hits, misses, bound and size of the hom-count memo, over the hosts
-    it holds (a host's counts leave with it). The vector store each host
-    keeps beside its counts, at most (n + 2m) // n vectors, is not
-    counted here."""
-    counts = [c for c, _ in _memo.values()]
-    return CacheInfo(sum(c.hits for c in counts),
-                     sum(c.misses for c in counts),
-                     _MEMO_HOSTS * _MEMO_TERMS, sum(map(len, counts)))
+    """Hits, misses, bound and size of the hom counts in the stores of
+    the hosts alive and held (a host's counts leave with it). The
+    vectors each store keeps beside its counts, at most (n + 2m) // n,
+    are not counted here."""
+    stores = list(_memo.values())
+    return CacheInfo(sum(s.hits for s in stores),
+                     sum(s.misses for s in stores),
+                     _MEMO_HOSTS * _MEMO_TERMS,
+                     sum(len(s) - len(s.vectors) for s in stores))
 
 
 def hom_cache_clear():
-    """Forget every memoised hom count and every stored vector message."""
+    """Forget every memoised hom count and every stored vector message,
+    with the step ids they were stored under and the cached steps and
+    per-pattern lists that hold those ids. Compiled kernels stay."""
     _memo.clear()
+    _ids.clear()
+    _counted.cache_clear()
+    _steps.cache_clear()

@@ -275,6 +275,23 @@ def test_exit_codes(capsys, write, graph_file):
     capsys.readouterr()
 
 
+def test_limit_takes_ascii_decimal_digits_only(capsys, graph_file):
+    """``--limit`` reads ASCII decimal digits, as the input files do: an
+    underscore, surrounding spaces, a plus sign or the digits of another
+    script make it a usage error, exit 1, like a word."""
+    p7 = graph_file("p7.g", path(7))
+    for limit in ("abc", "1_0", " 2", "2 ", "+3", "\u0663", "\uff17"):
+        assert main(["expand", "--tau", "li", "--pattern", p7,
+                     "--limit", limit]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --limit: invalid int value: {limit!r}" in err
+    assert main(["expand", "--tau", "li", "--pattern", p7,
+                 "--limit", "7"]) == 0
+    assert main(["expand", "--tau", "li", "--pattern", p7,
+                 "--limit", "6"]) == 3
+    capsys.readouterr()
+
+
 def test_limit_env_variable(capsys, graph_file, monkeypatch):
     """The limit comes from ``--limit`` alone; HOMLATTICE_LIMIT is not
     read."""

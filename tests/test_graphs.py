@@ -329,7 +329,10 @@ def test_counting_builds_no_edge_set():
     terms = [term.graph for tau, pattern in
              [(LI, patterns[0])] + [t[1:] for t in combination.terms]
              for term in expand(tau, pattern).terms]
-    counted = list(treedp._host_caches(host)[0]._entries)
+    # What the store counted: each connected term as it is, and each
+    # component of a disconnected one.
+    counted = [g if comp is None else comp for g in terms
+               for _, comp, _, _ in treedp._counted(g)]
     graphs = [host, *patterns, *terms, *counted]
     assert set(map(id, counted)) - set(map(id, terms))  # components
     for g in graphs:

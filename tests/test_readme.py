@@ -75,6 +75,26 @@ def test_host_scale_script_runs():
         sum(host.degree(v) ** 2 for v in range(host.n))
 
 
+def test_host_scale_script_drops_hosts():
+    """With ``--drop K`` the script counts on K hosts of consecutive seeds
+    in turn and reports resident memory before and after dropping them."""
+    script = "scripts/host_scale.py"
+    assert f"python3 {script} " in README.read_text()
+    assert "--drop 4" in README.read_text()
+    run = subprocess.run([sys.executable, script, "--n", "300", "--m",
+                          "900", "--seed", "3", "--drop", "2"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = dict(line.split(": ") for line in run.stdout.splitlines())
+    assert list(lines) == ["seed 3 hom(path(3))", "seed 4 hom(path(3))",
+                           "vmrss_before_mb", "vmrss_after_mb"]
+    for seed in (3, 4):
+        host = random_host(Random(seed), 300, 900)
+        assert int(lines[f"seed {seed} hom(path(3))"]) == \
+            sum(host.degree(v) ** 2 for v in range(host.n))
+    assert float(lines["vmrss_after_mb"]) > 0
+
+
 def test_code_lines_script_runs(tmp_path):
     """The code-line script counts every module of the package and their
     total, and on a sample package it skips blank lines, comments and

@@ -110,13 +110,15 @@ def test_cache_clears_empty_every_module_cache():
     """``expansion_cache_clear`` and ``hom_cache_clear``, which the
     tests' ``cold_caches`` fixture calls, empty every ``LRUCache`` that a
     homlattice module holds as a global, so no cache added later can
-    carry answers from one test into the next."""
+    carry answers from one test into the next. They also empty the
+    per-host stores of hom counts, a dict of hosts held weakly."""
     import importlib
     import pkgutil
 
     import homlattice
     from homlattice import basis, treedp
     from homlattice.cache import LRUCache
+    from homlattice.graphs import cycle, path
 
     caches = {}
     for info in pkgutil.iter_modules(homlattice.__path__):
@@ -127,10 +129,14 @@ def test_cache_clears_empty_every_module_cache():
                       for name, value in vars(module).items()
                       if isinstance(value, LRUCache))
     assert {"basis._expansion_cache", "basis._representatives",
-            "treedp._memo"} <= set(caches)
+            "treedp._ids"} <= set(caches)
     for cache in caches.values():
         while len(cache) < cache.maxsize:
             cache.put(object(), object())
+    host = cycle(5)
+    treedp.hom_count(path(3), host)
+    assert len(treedp._memo) == 1 and treedp._store(host)
     basis.expansion_cache_clear()
     treedp.hom_cache_clear()
     assert [name for name, cache in caches.items() if len(cache)] == []
+    assert treedp._memo == {}

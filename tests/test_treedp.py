@@ -1,13 +1,13 @@
 import ast
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
 
 from homlattice import treedp
-from homlattice.basis import count_restricted
-from homlattice.cache import LRUCache
+from homlattice.basis import count_restricted, expand
 from homlattice.errors import HomlatticeError, HostError, PatternSizeError
 from homlattice.graphs import (Graph, biclique, canonical_representative,
                                clique, connected_components, cycle, path,
@@ -302,7 +302,9 @@ def test_kernels_are_cached_per_shape_and_name_no_host(monkeypatch):
 def test_steps_are_built_once_and_replayed_on_every_host(monkeypatch):
     """Counting one pattern on three hosts builds its steps on the first
     and replays them on the other two, which compile no kernel and find
-    no twins. ``treewidth_exact`` builds no steps and compiles nothing."""
+    no twins: the steps miss once, for the pattern's root id, and hit
+    once per host, for its elimination there. ``treewidth_exact`` builds
+    no steps and compiles nothing."""
     rng = random.Random(101)
     fresh = random_graph(rng, 9, 0.4)
     planned = treedp._plan.cache_info().misses
@@ -326,7 +328,7 @@ def test_steps_are_built_once_and_replayed_on_every_host(monkeypatch):
         assert ({"_kernel", "_twins"} <= set(called)) == (k == 0)
         assert called == [] or k == 0
     info = treedp._steps.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def _both_eliminations(graph, host):
@@ -581,13 +583,32 @@ def test_memo_is_bounded(monkeypatch):
                 info = treedp.hom_cache_info()
                 assert info.currsize <= info.maxsize == treedp._MEMO_HOSTS * 3
                 assert len(treedp._memo) <= treedp._MEMO_HOSTS
-                assert all(len(c) <= 3 for c, _ in treedp._memo.values())
+                assert all(len(_counts(store)) <= 3
+                           for store in treedp._memo.values())
     treedp.hom_cache_clear()
     assert treedp.hom_cache_info().currsize == 0
 
 
-def test_warm_vector_store_matches_the_oracles():
+def _counts(store):
+    """The counts a host's store holds, read from its values: a count
+    is an int, a vector a list."""
+    return [value for value in store.values() if type(value) is int]
+
+
+def _vectors(host):
+    """The vectors the host's store holds."""
+    return [v for v in treedp._store(host).values() if isinstance(v, list)]
+
+
+def test_warm_vector_store_matches_the_oracles(monkeypatch):
     rng = random.Random(73)
+    found = []  # per lookup in a store, whether it found a vector
+
+    def get(store, ident, default=None, lookup=dict.get):
+        value = lookup(store, ident, default)
+        found.append(isinstance(value, list))
+        return value
+    monkeypatch.setattr(treedp._Store, "get", get)
     patterns = all_trees(7) + graphs_up_to(5)
     for host in (random_host(rng, 40, 90), random_host(rng, 9, 16)):
         expected = [nice_dp_count(p, host, decomposition_from_order(
@@ -599,9 +620,10 @@ def test_warm_vector_store_matches_the_oracles():
         for _ in range(2):  # warm within a pass, cold again in another order
             treedp.hom_cache_clear()
             rng.shuffle(indices)
+            found.clear()
             for i in indices:
                 assert hom_count(patterns[i], host) == expected[i]
-            assert treedp._memo.get(host)[1].hits > 0
+            assert any(found)
         # An equal host object shares the memo and the store.
         copy = Graph(host.n, list(host.edges))
         assert [hom_count(p, copy) for p in patterns] == expected
@@ -622,8 +644,8 @@ def test_vector_store_is_bounded_and_cleared(monkeypatch):
         bound = (host.n + 2 * host.m) // host.n
         for tree in all_trees(7):
             hom_count(tree, host)
-            assert len(treedp._memo.get(host)[1]) <= bound
-        assert len(treedp._memo.get(host)[1]) == bound  # full, evicting
+            assert len(_vectors(host)) <= bound
+        assert len(_vectors(host)) == bound  # full, evicting
         assert len(treedp._memo) <= treedp._MEMO_HOSTS
     assert len(treedp._memo) == treedp._MEMO_HOSTS
     treedp.hom_cache_clear()
@@ -650,10 +672,9 @@ def test_memo_hits_still_check_limits():
     with pytest.raises(PatternSizeError):
         hom_count(path(13), host)
     loopy = Graph(3, [(0, 0), (0, 1), (1, 2)], selfloops_allowed=True)
-    counts = LRUCache(treedp._MEMO_TERMS)
-    counts.put(path(2), 1)
+    (root, _, _, _), = treedp._counted(path(2))
     # A planted entry must not answer.
-    treedp._memo.put(loopy, (counts, LRUCache(1)))
+    treedp._store(loopy)[root] = 1
     for pattern in (path(2), Graph(1), Graph(0)):
         with pytest.raises(HostError):
             hom_count(pattern, loopy)
@@ -673,6 +694,162 @@ def test_components_are_counted_once_per_host(monkeypatch):
     connected = cycle(5)  # counted as itself, not rebuilt
     assert hom_count(connected, host) == brute_hom(connected, host)
     assert eliminated[2] is connected
+
+
+def test_equal_root_ids_give_equal_counts():
+    """The id that a component's count is stored under determines the
+    count: over every connected graph with at most 6 vertices and its
+    canonical representative, counts under one root id agree on a
+    random host, and other graphs and labellings do share ids."""
+    host = random_host(random.Random(109), 10, 20)
+    counts = {}
+    shared = 0
+    for pattern in graphs_up_to(6):
+        if connected_components(pattern)[0] != 1:
+            continue
+        for graph in (pattern, canonical_representative(pattern)):
+            (root, comp, order, width), = treedp._counted(graph)
+            assert comp is None and root == treedp._steps(
+                graph, order, width)[0]
+            count = treedp._eliminate(graph, host, order, width)
+            shared += root in counts
+            assert counts.setdefault(root, count) == count
+    assert shared > 100 and len(counts) > 100
+
+
+def test_no_step_builds_a_table_that_nothing_reads():
+    """Only the last step's table may go unread: every other step's slot
+    is read by a later step, so none frees its own. Over every graph
+    with at most 6 vertices, each component and its canonical
+    representative along its plan order, every order of the connected
+    graphs with at most 5 vertices, and a 7-vertex graph whose second
+    bucket shares an equal table that its first one built, so the table
+    of the first bucket's own step is never read; every count equals
+    the reference elimination's along the plan order."""
+    host = random_host(random.Random(113), 8, 14)
+    seven = Graph(7, [(0, 6), (1, 5), (2, 4), (2, 6), (3, 4), (3, 5),
+                      (4, 5), (4, 6)])
+    cases = {}
+    for pattern in graphs_up_to(6) + (seven,):
+        for graph in (pattern, canonical_representative(pattern)):
+            width, order, parts = treedp._plan(graph)
+            expected = reference_eliminate(graph, host, order, width)
+            runs = [[(graph if comp is None else comp, local, comp_width)
+                     for comp, comp_width, local in parts]]
+            if pattern.n <= 5 and len(parts) == 1:
+                runs += [[(graph, perm, graph.n)]
+                         for perm in itertools.permutations(order)]
+            cases[graph] = expected, runs
+    cases[seven][1].append([(seven, (2, 6, 3, 5, 4, 1, 0), 7)])
+    for expected, runs in cases.values():
+        for run in runs:
+            count = 1
+            for comp, order, width in run:
+                _, steps = treedp._steps(comp, order, width)
+                assert not any(k in frees for k, (_, _, _, frees)
+                               in enumerate(steps[:-1]))
+                count *= treedp._eliminate(comp, host, order, width)
+            assert count == expected
+    # Vertex 6's bucket takes the table that vertex 2's built: the order
+    # runs one vector step and two joins, not two vector steps.
+    _, steps = treedp._steps(seven, (2, 6, 3, 5, 4, 1, 0), 7)
+    assert [reads for _, reads, _, _ in steps] == [(), (0,), (1,)]
+
+
+def test_warm_store_compares_no_graphs(monkeypatch):
+    """Expansions whose terms include disconnected graphs share
+    components with each other and with connected terms, such as K1 and
+    K2. A warm pass over them finds every count by its int id, with no
+    ``Graph.__eq__`` call."""
+    host = random_host(random.Random(127), 9, 15)
+    patterns = [Graph(3, [(0, 1)]), Graph(4, [(0, 1)]),
+                Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (3, 4)]),
+                Graph(5, [(0, 1), (1, 2), (2, 0)]), path(2), path(3)]
+    queries = [(tau, p) for tau in (EMB, LI, locally_injective(2))
+               for p in patterns]
+    values = [count_restricted(tau, p, host) for tau, p in queries]
+    terms = {term.graph for tau, p in queries
+             for term in expand(tau, p).terms}
+    assert sum(connected_components(t)[0] > 1 for t in terms) >= 5
+    compared = []
+    equal = Graph.__eq__
+    monkeypatch.setattr(Graph, "__eq__",
+                        lambda a, b: compared.append(a) or equal(a, b))
+    info = treedp.hom_cache_info()
+    assert [count_restricted(tau, p, host) for tau, p in queries] == values
+    assert compared == []
+    assert treedp.hom_cache_info().misses == info.misses
+
+
+def _stores():
+    """The per-host stores alive, found by the collector."""
+    return [o for o in gc.get_objects() if type(o) is treedp._Store]
+
+
+def test_store_leaves_with_its_host():
+    """A dropped host takes its store with it, counts and vectors, with
+    no ``hom_cache_clear``: the store holds the host weakly. An equal
+    host finds the same store while the first one lives."""
+    rng = random.Random(131)
+    host = random_host(rng, 30, 60)
+    count = hom_count(canonical_representative(path(5)), host)
+    ref = weakref.ref(host)
+    store = treedp._store(host)
+    assert treedp._memo == {store.ref: store} and len(store) == 3
+    copy = Graph(host.n, list(host.edges))
+    hits = treedp.hom_cache_info().hits
+    assert hom_count(canonical_representative(path(5)), copy) == count
+    assert treedp._store(copy) is store
+    assert treedp.hom_cache_info().hits == hits + 1
+    del host, store
+    gc.collect()
+    assert ref() is None
+    assert treedp._memo == {} and _stores() == []
+    assert treedp.hom_cache_info() == (0, 0, treedp._MEMO_HOSTS
+                                       * treedp._MEMO_TERMS, 0)
+    # The equal copy lives on and counts into a store of its own.
+    assert hom_count(canonical_representative(path(5)), copy) == count
+    assert list(treedp._memo.values()) == [treedp._store(copy)]
+
+
+def test_store_bounds_hold_over_many_hosts(monkeypatch):
+    """Over many hosts, kept or dropped, at most ``_MEMO_HOSTS`` stores
+    live, the least recently used leaving first; each holds at most
+    ``_MEMO_TERMS`` counts and (n + 2m) // n vectors; and every dropped
+    host's store is gone without a collection."""
+    monkeypatch.setattr(treedp, "_MEMO_TERMS", 4)
+    rng = random.Random(137)
+    patterns = [path(2), path(3), star(3), cycle(4), clique(3), cycle(5),
+                Graph(4, [(0, 1), (1, 2)])] + list(all_trees(6))
+    kept = [random_host(rng, 8, 12) for _ in range(6)]
+    gc.disable()
+    try:
+        for k in range(40):
+            host = kept[k % 6] if k % 2 else random_host(rng, 7, 10)
+            for pattern in patterns:
+                assert hom_count(pattern, host) == nice_dp_count(
+                    pattern, host, decomposition_from_order(
+                        pattern, treewidth_exact(pattern)[1]))
+                stores = list(treedp._memo.values())
+                assert len(stores) <= treedp._MEMO_HOSTS
+                for store in stores:
+                    vectors = [v for v in store.values()
+                               if isinstance(v, list)]
+                    assert len(_counts(store)) <= 4
+                    assert len(vectors) <= store.bound
+                    assert sum(map(len, vectors)) <= store.ref().n + 2 * (
+                        store.ref().m)
+            assert list(treedp._memo)[-1]() is host
+        del host
+        # The dropped hosts' stores left when their hosts did.
+        assert all(ref() in kept for ref in treedp._memo)
+    finally:
+        gc.enable()
+    info = treedp.hom_cache_info()
+    assert info._fields == ("hits", "misses", "maxsize", "currsize")
+    assert info.maxsize == treedp._MEMO_HOSTS * 4
+    assert info.currsize == sum(map(len, map(_counts, treedp._memo.values())))
+    assert info.hits > 0 and info.misses > 0
 
 
 def _later_neighbours(graph, order):
@@ -726,9 +903,9 @@ def test_warm_plans_still_check_limits_and_loops(monkeypatch):
     host = random_host(random.Random(61), 8, 12)
     pattern = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)])
     count = hom_count(pattern, host)
-    hits = treedp._plan.cache_info().hits
+    hits = treedp._counted.cache_info().hits
     assert hom_count(pattern, host) == count
-    assert treedp._plan.cache_info().hits == hits + 1
+    assert treedp._counted.cache_info().hits == hits + 1
     monkeypatch.setenv("HOMLATTICE_LIMIT", "6")  # not read: limit= only
     assert hom_count(pattern, host) == count
     assert treewidth_exact(pattern) == treewidth_exact(pattern, limit=7)
@@ -737,9 +914,10 @@ def test_warm_plans_still_check_limits_and_loops(monkeypatch):
     with pytest.raises(PatternSizeError):
         treewidth_exact(pattern, limit=6)
     assert hom_count(pattern, host, limit=7) == count
-    # A plan planted for a loopy pattern must not answer for it.
+    # A plan and root ids planted for a loopy pattern must not answer
+    # for it.
     loopy = Graph(3, [(0, 0), (0, 1), (1, 2)], selfloops_allowed=True)
-    treedp._plan(loopy)
+    treedp._counted(loopy)
     with pytest.raises(HomlatticeError):
         hom_count(loopy, host)
     with pytest.raises(HomlatticeError):
