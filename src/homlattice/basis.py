@@ -31,8 +31,10 @@ at most ``4 * _EXPANSION_CACHE_SIZE`` entries, which
 ``expansion_cache_clear`` empties too. A class that recurs across
 expansions is thus one object in all of them, and the plan cache and the
 per-host memo in ``treedp`` match it by identity, without comparing edge
-sets. ``evaluate`` hands all its terms to ``treedp`` at once, which
-looks the host up once and checks each term on its own.
+sets. A cached expansion keeps its evaluation plan (see
+``treedp._sum_plan``), which its first ``evaluate`` builds and the class
+and labelled keys share; later evaluations, on any host, replay it. Any
+other expansion plans, and so checks, every term on each call.
 """
 
 from . import graphs
@@ -41,7 +43,7 @@ from .errors import HomlatticeError, HostError, ensure_pattern_size
 from .flats import enumerate_flats
 from .graphs import _Value, _canonical, _placed, quotient
 from .restrictions import EMB, apply_restriction
-from .treedp import _hom_sum
+from .treedp import _hom_sum, _sum_plan
 
 
 class ExpansionTerm(_Value):
@@ -56,12 +58,15 @@ class ExpansionTerm(_Value):
 
 
 class BasisExpansion(_Value):
-    __slots__ = _fields = ("pattern", "restriction", "terms")
+    # _plan, not a field: the cache entry's evaluation plan, or None
+    _fields = ("pattern", "restriction", "terms")
+    __slots__ = _fields + ("_plan",)
 
-    def __init__(self, pattern, restriction, terms):
+    def __init__(self, pattern, restriction, terms, _plan=None):
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "restriction", restriction)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_plan", _plan)
 
     def __len__(self):
         return len(self.terms)
@@ -144,10 +149,13 @@ def expand(restriction, pattern, limit=None):
 
     Results for built-in restrictions are cached per labelled pattern and
     per isomorphism class; custom restrictions are never cached since
-    nothing ties their output to the pattern's isomorphism class. On a
-    miss, every quotient still takes its canonical search and every class
-    its relabelling, and then each term takes its class's representative
-    from the shared store (see the module notes), or leaves its own there.
+    nothing ties their output to the pattern's isomorphism class. A hit
+    is the cached expansion if it holds these very pattern and
+    restriction objects, else a copy sharing its plan. On a miss, every
+    quotient still takes its canonical search and every class its
+    relabelling, and then each term takes its class's representative
+    from the shared store (see the module notes), or leaves its own
+    there.
     """
     if not pattern.is_loop_free():
         raise HomlatticeError("pattern must be loop-free")
@@ -157,15 +165,18 @@ def expand(restriction, pattern, limit=None):
     if token is not None:
         hit = _expansion_cache.get(labelled)
         if hit is not None:
-            return BasisExpansion(pattern, restriction, hit)
+            if hit.pattern is pattern and hit.restriction is restriction:
+                return hit
+            return BasisExpansion(pattern, restriction, hit.terms, hit._plan)
     # Through the module, so a wrapper set on graphs sees the search.
     pattern_key, perm, _ = graphs._canonical_search(pattern)
     class_key = (pattern_key, token)
     if token is not None:
         hit = _expansion_cache.get(class_key)
         if hit is not None:
+            hit = BasisExpansion(pattern, restriction, hit.terms, hit._plan)
             _expansion_cache.put(labelled, hit)
-            return BasisExpansion(pattern, restriction, hit)
+            return hit
     constraint = apply_restriction(restriction, pattern)
     lattice = enumerate_flats(constraint, limit)
     groups = _group_quotients(
@@ -188,30 +199,32 @@ def expand(restriction, pattern, limit=None):
     lead = terms[0] if terms else None
     if lead is None or lead.graph.n != pattern.n or lead.coefficient != 1:
         raise AssertionError("leading expansion term is not the pattern")
-    terms = tuple(terms)
+    # A cached expansion's plan stays empty until its first evaluate.
+    expansion = BasisExpansion(pattern, restriction, tuple(terms),
+                               None if token is None else [])
     if token is not None:
-        _expansion_cache.put(class_key, terms)
-        _expansion_cache.put(labelled, terms)
-    return BasisExpansion(pattern, restriction, terms)
+        _expansion_cache.put(class_key, expansion)
+        _expansion_cache.put(labelled, expansion)
+    return expansion
 
 
 def evaluate(expansion, host, limit=None):
-    """Value of the expansion on a loop-free host graph.
-
-    One call into ``treedp`` counts every term: the host is checked and
-    looked up in the hom-count memo once, and each term still gets the
-    loop-free and size checks of ``hom_count`` and counts a memo hit or
-    miss per connected component.
-    """
-    total = _hom_sum(((term.coefficient, term.graph)
-                      for term in expansion.terms), host, limit)
+    """Value of the expansion on a loop-free host graph: a replay of its
+    evaluation plan (see ``treedp._hom_sum``). A cached expansion's plan
+    is built, with each term's checks, by its first evaluation; any other
+    expansion builds one on every call."""
+    plan = expansion._plan
+    if not plan:  # not cached (None), or not evaluated yet
+        plan = _sum_plan(expansion.terms, limit, plan)
+    total = _hom_sum(plan, host, limit)
     if total < 0:
         raise AssertionError("restricted count came out negative")
     return total
 
 
 def count_restricted(restriction, pattern, host, limit=None):
-    """Restricted homomorphism count via the minor expansion."""
+    """Restricted homomorphism count: ``evaluate`` of ``expand``, so a
+    warm query is one cache hit and one plan replay."""
     return evaluate(expand(restriction, pattern, limit), host, limit)
 
 

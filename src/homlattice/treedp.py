@@ -50,10 +50,11 @@ vertices and m edges, so never more vector entries than its host's
 adjacency. Hosts are held weakly: a store leaves when its host dies, an
 equal host finds it while it lives, and at most ``_MEMO_HOSTS`` stores
 live, least recently used first out. ``hom_count`` and
-``basis.evaluate`` both count through ``_hom_sum``, which takes a
-signed sum of terms, checks the host and fetches its store once, and
-then checks each pattern, hit or miss. ``hom_cache_info`` reports on the
-counts, and ``hom_cache_clear`` empties every store.
+``basis.evaluate`` both count through ``_hom_sum``, which replays a
+plan (see ``_sum_plan``): it checks the host and the largest term's
+size, fetches the host's store once and looks each component up by id.
+``hom_cache_info`` reports on the counts, and ``hom_cache_clear``
+empties every store.
 """
 
 import itertools
@@ -74,6 +75,8 @@ _memo = {}
 # host-free step key -> its id (see _intern); ids are never reused
 _ids = LRUCache(4 * _MEMO_TERMS)
 _fresh = itertools.count(1)
+# hom_cache_clear calls so far; a plan keeps the count it was built at
+_clears = 0
 
 
 def _intern(key):
@@ -552,16 +555,15 @@ def _steps(pattern, order, width):
                        for j, step in enumerate(kept))
 
 
-def _eliminate(pattern, host, order, width):
+def _eliminate(pattern, host, order, width, store):
     """Homomorphism count of a connected pattern on a host: the steps of
     ``_steps`` replayed in order, each table freed after the last step
-    that reads it. A unary bucket's vector is looked up in the host's
-    store (see ``_store``) before it is computed and stored; its id
-    names no pattern vertex, so patterns share vectors on one host.
-    Root sums and summed joins are left to the caller's store, and an
-    empty table ends the count at 0."""
+    that reads it. A unary bucket's vector is looked up in ``store``, the
+    host's store (see ``_store``), before it is computed and stored; its
+    id names no pattern vertex, so patterns share vectors on one host.
+    Root sums and summed joins are left to the caller, and an empty
+    table ends the count at 0."""
     adj = host._adj  # the host's own adjacency tuple, not a copy
-    store = _store(host)
     tables = []
     for run, reads, ident, frees in _steps(pattern, order, width)[1]:
         table = store.get(ident) if ident else None
@@ -587,38 +589,64 @@ def _counted(pattern):
                  for comp, width, order in _plan(pattern)[2])
 
 
+def _sum_plan(terms, limit, plan):
+    """Fill ``plan``, a list (a new one if None), with the plan that
+    ``_hom_sum`` replays for ``terms``, each with a ``coefficient`` and a
+    pattern ``graph``: ``_clears``, the largest pattern's size and
+    (coefficient, pattern, ``_counted(pattern)``) per term. Each pattern
+    is checked here only, before ``_counted`` works on it."""
+    size, entries = 0, []
+    for term in terms:
+        pattern = term.graph
+        if not pattern.is_loop_free():
+            raise HomlatticeError("pattern must be loop-free")
+        ensure_pattern_size(pattern.n, limit)
+        entries.append((term.coefficient, pattern, _counted(pattern)))
+        if pattern.n > size:
+            size = pattern.n
+    plan = [] if plan is None else plan
+    plan[:] = _clears, size, entries
+    return plan
+
+
 def hom_count(pattern, host, limit=None):
     """Homomorphism count by elimination along each component's order in
     the pattern's cached plan (see ``_plan``).
 
     Disconnected patterns factor into a product over their components;
     each component's count is memoised per host (see the module notes).
-    This is ``_hom_sum`` of the one term (1, pattern).
+    This replays the one-term plan of (1, pattern).
     """
-    return _hom_sum(((1, pattern),), host, limit)
+    if not pattern.is_loop_free():
+        raise HomlatticeError("pattern must be loop-free")
+    ensure_pattern_size(pattern.n, limit)
+    return _hom_sum([_clears, pattern.n, ((1, pattern, _counted(pattern)),)],
+                    host, limit)
 
 
-def _hom_sum(terms, host, limit=None):
-    """Sum of c * hom_count(pattern, host, limit) over the (c, pattern)
-    pairs of ``terms``. The host is checked and its store fetched once
-    for them all; each pattern still gets its loop-free and size checks,
-    and each component of it is one int-keyed hit or miss in the store."""
+def _hom_sum(plan, host, limit=None):
+    """Sum of c * hom_count(pattern, host) over a plan's terms: one host
+    check and store fetch, one size check and one store lookup per
+    component. A plan built before the last ``hom_cache_clear`` takes
+    its components afresh, so it names no forgotten id."""
     if not host.is_loop_free():
         raise HostError("host must be loop-free")
+    clears, size, entries = plan
+    ensure_pattern_size(size, limit)
+    if clears != _clears:  # built before a clear forgot its ids
+        entries = [(c, p, _counted(p)) for c, p, _ in entries]
+        plan[:] = _clears, size, entries
     store = _store(host)
     get = store.get
     total = hits = 0
     try:
-        for coefficient, pattern in terms:
-            if not pattern.is_loop_free():
-                raise HomlatticeError("pattern must be loop-free")
-            ensure_pattern_size(pattern.n, limit)
+        for coefficient, pattern, components in entries:
             product = 1
-            for root, comp, order, width in _counted(pattern):
+            for root, comp, order, width in components:
                 count = get(root)
                 if count is None:
                     count = _eliminate(pattern if comp is None else comp,
-                                       host, order, width)
+                                       host, order, width, store)
                     store.put_count(root, count)
                 else:
                     hits += 1
@@ -647,6 +675,8 @@ def hom_cache_clear():
     """Forget every memoised hom count and every stored vector message,
     with the step ids they were stored under and the cached steps and
     per-pattern lists that hold those ids. Compiled kernels stay."""
+    global _clears
+    _clears += 1
     _memo.clear()
     _ids.clear()
     _counted.cache_clear()

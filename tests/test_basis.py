@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from homlattice.graphs import Graph, clique, cycle, path
 from homlattice.oracle import brute_hom, brute_restricted
 from homlattice.restrictions import (EMB, HOM, LI, locally_injective,
                                      parse_restriction)
-from helpers import random_graph
+from helpers import graphs_up_to, random_graph, random_host
 
 
 def test_li_expansion_of_path():
@@ -166,22 +167,111 @@ def test_warm_requery_compares_no_graphs(monkeypatch):
 
 
 def test_evaluate_checks_every_term_and_the_host():
-    """One host lookup per expansion keeps every per-term check, on a
-    warm memo too."""
+    """An expansion that ``expand`` did not cache keeps no plan, so every
+    call checks each term's loops and size, and the host: a second, warm
+    call too, and a hand-built expansion that reuses a cached
+    expansion's terms with one term swapped. A cached expansion, warm,
+    still checks its largest term and the host."""
     host = cycle(5)
     loopy = Graph(2, [(0, 0), (0, 1)], selfloops_allowed=True)
     fine = ExpansionTerm(1, path(2), None)
-    assert evaluate(BasisExpansion(path(2), HOM, (fine,)), host) == 10
-    with pytest.raises(HomlatticeError) as caught:
-        evaluate(BasisExpansion(path(2), HOM,
-                                (fine, ExpansionTerm(1, loopy, None))), host)
-    assert caught.type is HomlatticeError
-    big = BasisExpansion(path(6), HOM, (ExpansionTerm(1, path(6), None),))
-    assert evaluate(big, host) == 5 * 2 ** 5
-    with pytest.raises(PatternSizeError):
-        evaluate(big, host, limit=5)
+    cached = expand(LI, path(4))
+    value = evaluate(cached, host)
+    assert value == brute_restricted(LI, path(4), host)
+    # The last term swapped for path(6), which C5 takes 5 * 2 ** 5 ways.
+    swapped = cached.terms[:-1] + (ExpansionTerm(1, path(6), None),)
+    extra = 5 * 2 ** 5 - cached.terms[-1].coefficient * brute_hom(
+        cached.terms[-1].graph, host)
+    cases = [((fine,), 10), (swapped, value + extra)]
+    for terms, expected in cases:
+        for _ in range(2):
+            good = BasisExpansion(path(4), LI, terms)
+            assert evaluate(good, host) == expected
+            with pytest.raises(HostError):
+                evaluate(good, loopy)
+            with pytest.raises(HomlatticeError) as caught:
+                evaluate(BasisExpansion(path(4), LI, terms[:-1] + (
+                    ExpansionTerm(1, loopy, None),) + terms[-1:]), host)
+            assert caught.type is HomlatticeError
+            big = BasisExpansion(path(4), LI, terms[:-1] + (
+                ExpansionTerm(1, path(6), None),))
+            assert evaluate(big, host) > 0
+            with pytest.raises(PatternSizeError):
+                evaluate(big, host, limit=5)
+    for _ in range(2):
+        assert evaluate(cached, host, limit=4) == value
+        with pytest.raises(PatternSizeError):
+            evaluate(cached, host, limit=3)
+        with pytest.raises(HostError):
+            evaluate(cached, loopy)
     with pytest.raises(HostError):
         evaluate(BasisExpansion(Graph(0), HOM, ()), loopy)
+
+
+def test_expand_does_no_host_side_work(monkeypatch):
+    """Building expansions, with the caches cold, over every graph with
+    at most 5 vertices under four restrictions, neither lists a term's
+    components nor works out or compiles an elimination: the host-side
+    work waits for the first evaluation."""
+    called = []
+    for name in ("_counted", "_steps", "_kernel"):
+        monkeypatch.setattr(treedp, name, lambda *args, _name=name,
+                            _run=getattr(treedp, name):
+                            called.append(_name) or _run(*args))
+    for restriction in (HOM, EMB, LI, parse_restriction("li:2")):
+        for pattern in graphs_up_to(5):
+            expand(restriction, pattern)
+    assert called == []
+    count_restricted(LI, cycle(5), clique(4))
+    assert {"_counted", "_steps", "_kernel"} <= set(called)
+
+
+def test_warm_query_replays_its_plan(monkeypatch):
+    """A warm ``count_restricted`` makes no elimination and lists no
+    components: one memo hit per component, whether the pattern is the
+    one asked before or an isomorphic relabelling. After
+    ``hom_cache_clear`` the first evaluation counts each distinct
+    component once and the next counts none, and ``hom_count`` of each
+    term then hits the ids that the plan names."""
+    host = random_host(random.Random(131), 9, 22)
+    pattern = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    value = count_restricted(EMB, pattern, host)
+    assert value == brute_restricted(EMB, pattern, host)
+    expansion = expand(EMB, pattern)
+    parts = [part for term in expansion.terms
+             for part in treedp._counted(term.graph)]
+    assert len(parts) > len({root for root, _, _, _ in parts}) > 1
+    assert all(treedp.hom_count(term.graph, host)
+               for term in expansion.terms)
+    calls = Counter()
+    counted = treedp._counted
+    monkeypatch.setattr(treedp, "_counted", lambda pattern: calls.update(
+        ["_counted"]) or counted(pattern))
+    treedp._counted.cache_clear = counted.cache_clear
+    eliminate = treedp._eliminate
+    monkeypatch.setattr(treedp, "_eliminate", lambda *args: calls.update(
+        ["_eliminate"]) or eliminate(*args))
+    relabelled = pattern.relabeled((4, 2, 3, 0, 1))
+    for asked in (pattern, relabelled, pattern):
+        before = treedp.hom_cache_info()
+        assert count_restricted(EMB, asked, host) == value
+        after = treedp.hom_cache_info()
+        assert calls == Counter()
+        assert (after.hits - before.hits, after.misses) == (
+            len(parts), before.misses)
+    treedp.hom_cache_clear()
+    assert count_restricted(EMB, pattern, host) == value
+    assert calls["_eliminate"] == len({root for root, _, _, _ in parts})
+    calls.clear()
+    assert evaluate(expansion, host) == value
+    assert calls["_eliminate"] == 0
+    for term in expansion.terms:
+        before = treedp.hom_cache_info()
+        treedp.hom_count(term.graph, host)
+        after = treedp.hom_cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+    assert calls["_eliminate"] == 0
 
 
 def test_expansion_cache_is_bounded(monkeypatch):

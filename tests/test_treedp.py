@@ -339,7 +339,8 @@ def _both_eliminations(graph, host):
     count = 1
     for comp, comp_width, local in parts:
         comp = graph if comp is None else comp
-        count *= treedp._eliminate(comp, host, local, comp_width)
+        count *= treedp._eliminate(comp, host, local, comp_width,
+                                   treedp._store(host))
     return count, reference_eliminate(graph, host, order, width)
 
 
@@ -360,7 +361,8 @@ def test_eliminate_matches_reference_eliminate():
             for _ in range(3):
                 rng.shuffle(perm)
                 order = tuple(perm)
-                assert (treedp._eliminate(graph, small, order, pattern.n)
+                assert (treedp._eliminate(graph, small, order, pattern.n,
+                                          treedp._store(small))
                         == reference_eliminate(graph, small, order,
                                                pattern.n))
     # Eliminating 2, 3, 5 and 6 leaves two buckets with equal edges and
@@ -368,14 +370,14 @@ def test_eliminate_matches_reference_eliminate():
     graph = Graph(7, [(0, 6), (1, 5), (2, 4), (2, 6), (3, 4), (3, 5),
                       (4, 5), (4, 6)])
     order = (2, 3, 5, 6, 0, 4, 1)
-    assert (treedp._eliminate(graph, small, order, 7)
+    assert (treedp._eliminate(graph, small, order, 7, treedp._store(small))
             == reference_eliminate(graph, small, order, 7))
     # Buckets 0 and 1 share one triangle table, and buckets 2 and 3 one
     # vector summed from it: 3 is the last join bucket, its scope is 4
     # alone, and the root sums the shared vector's square.
     graph = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)])
     order = (0, 1, 2, 3, 4)
-    assert (treedp._eliminate(graph, small, order, 5)
+    assert (treedp._eliminate(graph, small, order, 5, treedp._store(small))
             == reference_eliminate(graph, small, order, 5))
     uniform = random_host(rng, 300, 600)
     # A hub joined to every other vertex makes the widest tables.
@@ -503,7 +505,8 @@ def test_scope_beyond_width_is_caught():
     with pytest.raises(AssertionError, match="width"):
         treedp._steps(cycle(4), order, 1)
     with pytest.raises(AssertionError, match="width"):
-        treedp._eliminate(cycle(4), clique(3), order, 1)
+        host = clique(3)
+        treedp._eliminate(cycle(4), host, order, 1, treedp._store(host))
 
 
 def test_factor_out_of_elimination_order_is_caught():
@@ -711,7 +714,8 @@ def test_equal_root_ids_give_equal_counts():
             (root, comp, order, width), = treedp._counted(graph)
             assert comp is None and root == treedp._steps(
                 graph, order, width)[0]
-            count = treedp._eliminate(graph, host, order, width)
+            count = treedp._eliminate(graph, host, order, width,
+                                      treedp._store(host))
             shared += root in counts
             assert counts.setdefault(root, count) == count
     assert shared > 100 and len(counts) > 100
@@ -748,7 +752,8 @@ def test_no_step_builds_a_table_that_nothing_reads():
                 _, steps = treedp._steps(comp, order, width)
                 assert not any(k in frees for k, (_, _, _, frees)
                                in enumerate(steps[:-1]))
-                count *= treedp._eliminate(comp, host, order, width)
+                count *= treedp._eliminate(comp, host, order, width,
+                                           treedp._store(host))
             assert count == expected
     # Vertex 6's bucket takes the table that vertex 2's built: the order
     # runs one vector step and two joins, not two vector steps.
