@@ -155,12 +155,13 @@ def expand(restriction, pattern, limit=None):
     quotient still takes its canonical search and every class its
     relabelling, and then each term takes its class's representative
     from the shared store (see the module notes), or leaves its own
-    there.
+    there. A warm call reads the pattern's loop flag and the
+    restriction's token from their slots, and calls no method of either.
     """
-    if not pattern.is_loop_free():
+    if pattern._loops:
         raise HomlatticeError("pattern must be loop-free")
     ensure_pattern_size(pattern.n, limit)
-    token = restriction.token()
+    token = restriction._token
     labelled = (pattern, token)
     if token is not None:
         hit = _expansion_cache.get(labelled)
@@ -224,7 +225,8 @@ def evaluate(expansion, host, limit=None):
 
 def count_restricted(restriction, pattern, host, limit=None):
     """Restricted homomorphism count: ``evaluate`` of ``expand``, so a
-    warm query is one cache hit and one plan replay."""
+    warm query is the pattern's checks, one cache hit and one plan
+    replay."""
     return evaluate(expand(restriction, pattern, limit), host, limit)
 
 

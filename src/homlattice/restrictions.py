@@ -30,7 +30,9 @@ from .treedp import treewidth_exact
 
 
 class Restriction(_Value):
-    __slots__ = _fields = ("kind", "radius", "name", "build")
+    # _token, not a field: the cache token, worked out once in __init__
+    _fields = ("kind", "radius", "name", "build")
+    __slots__ = _fields + ("_token",)
 
     def __init__(self, kind, radius=None, name=None, build=None):
         if kind not in ("hom", "emb", "li", "custom"):
@@ -43,12 +45,12 @@ class Restriction(_Value):
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "build", build)
+        object.__setattr__(self, "_token", None if kind == "custom" else (
+            kind, None if radius == 1 else radius))
 
     def token(self):
         """Cache token; None when results must not be cached."""
-        if self.kind == "custom":
-            return None
-        return (self.kind, None if self.radius == 1 else self.radius)
+        return self._token
 
     def label(self):
         if self.kind == "li" and self.radius is not None:

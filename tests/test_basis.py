@@ -21,7 +21,8 @@ from homlattice.cache import LRUCache
 from homlattice.errors import HomlatticeError, HostError, PatternSizeError
 from homlattice.graphs import Graph, clique, cycle, path
 from homlattice.oracle import brute_hom, brute_restricted
-from homlattice.restrictions import (EMB, HOM, LI, locally_injective,
+from homlattice.restrictions import (EMB, HOM, LI, apply_restriction,
+                                     custom_restriction, locally_injective,
                                      parse_restriction)
 from helpers import graphs_up_to, random_graph, random_host
 
@@ -272,6 +273,76 @@ def test_warm_query_replays_its_plan(monkeypatch):
         assert after.misses == before.misses
         assert after.hits > before.hits
     assert calls["_eliminate"] == 0
+
+
+def test_warm_query_counts_one_hit_per_probe_and_component():
+    """A warm ``count_restricted`` adds one expansion-cache hit and one
+    hom-count hit per component of its terms, and no miss, whether the
+    query before it was another one or the same; its labelled key is
+    then the expansion cache's newest entry."""
+    host = random_host(random.Random(139), 8, 13)
+    queries = [(LI, path(4)), (EMB, Graph(5, [(0, 1), (2, 3)])),
+               (HOM, cycle(4)), (locally_injective(2), path(4)),
+               (LI, Graph(4, [(0, 1), (0, 2), (0, 3)]))]
+    values = [count_restricted(tau, p, host) for tau, p in queries]
+    components = []
+    for tau, p in queries:
+        terms = expand(tau, p).terms
+        assert all(treedp.hom_count(t.graph, host) for t in terms)
+        components.append(sum(len(treedp._counted(t.graph)) for t in terms))
+    assert max(components) > 3
+    order = [0, 1, 2, 3, 4, 4, 4, 2, 0, 0, 3, 1]
+    for i in order:
+        tau, p = queries[i]
+        before = (basis.expansion_cache_info(), treedp.hom_cache_info())
+        assert count_restricted(tau, p, host) == values[i]
+        after = (basis.expansion_cache_info(), treedp.hom_cache_info())
+        assert [a - b for a, b in zip(after[0], before[0])] == [1, 0, 0, 0]
+        assert [a - b for a, b in zip(after[1], before[1])] == [
+            components[i], 0, 0, 0]
+        assert list(basis._expansion_cache._entries)[-1] == (p, tau.token())
+
+
+def test_relabelled_first_query_misses_once_then_hits_its_class():
+    """The first query of a relabelled pattern counts one labelled-key
+    miss and one class-key hit, moves the class key behind the first
+    labelled key and stores its own labelled key as the newest entry;
+    its next query is one labelled-key hit."""
+    host = random_host(random.Random(157), 8, 13)
+    pattern = path(4)
+    relabelled = pattern.relabeled((2, 0, 3, 1))
+    value = count_restricted(LI, pattern, host)
+    labelled, other = (pattern, LI.token()), (relabelled, LI.token())
+    class_key = (graphs.canonical_form(pattern), LI.token())
+    assert list(basis._expansion_cache._entries) == [class_key, labelled]
+    info = basis.expansion_cache_info()
+    assert count_restricted(LI, relabelled, host) == value
+    after = basis.expansion_cache_info()
+    assert (after.hits - info.hits, after.misses - info.misses,
+            after.currsize - info.currsize) == (1, 1, 1)
+    assert list(basis._expansion_cache._entries) == [labelled, class_key,
+                                                     other]
+    assert count_restricted(LI, relabelled, host) == value
+    assert basis.expansion_cache_info().hits == after.hits + 1
+    assert basis.expansion_cache_info().misses == after.misses
+
+
+def test_custom_restrictions_are_never_cached():
+    """A custom restriction's token is None: its expansions are built on
+    every call, leave the expansion cache untouched and carry no plan."""
+    custom = custom_restriction(lambda pattern: apply_restriction(
+        LI, pattern), name="li-copy")
+    host = random_host(random.Random(163), 7, 11)
+    assert custom.token() is None
+    first, second = expand(custom, path(4)), expand(custom, path(4))
+    assert first is not second and first.terms == expand(LI, path(4)).terms
+    assert first._plan is None and second._plan is None
+    basis.expansion_cache_clear()
+    for _ in range(2):
+        assert (count_restricted(custom, path(4), host)
+                == brute_restricted(LI, path(4), host))
+    assert basis.expansion_cache_info() == (0, 0, basis._EXPANSION_CACHE_SIZE,
+                                            0)
 
 
 def test_expansion_cache_is_bounded(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import re
@@ -120,6 +121,29 @@ def test_code_lines_script_runs(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "a.py: 4\nb.py: 2\ntotal: 6\n"
+
+
+def test_warm_query_script_runs():
+    """The warm-query script times every query over the graphs with at
+    most 3 vertices under four restrictions on two tiny hosts, and
+    reports a median per term count that covers every query."""
+    script = "scripts/warm_query.py"
+    assert f"python3 {script} " in README.read_text()
+    run = subprocess.run([sys.executable, script, "--max-n", "3", "--hosts",
+                          "2", "--seed", "3", "--passes", "2"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert list(report) == ["median_ns", "queries", "timer_ns"]
+    # 0-3 vertices hold 1 + 1 + 2 + 4 classes, asked under 4 restrictions
+    # on each host.
+    assert sum(report["queries"].values()) == 8 * 4 * 2
+    assert list(report["median_ns"]) == list(report["queries"]) != []
+    assert "1" in report["queries"]
+    assert all(ns > 0 for ns in report["median_ns"].values())
+    assert report["timer_ns"] >= 0
 
 
 def _synopsis_variants(words):

@@ -111,7 +111,8 @@ def test_cache_clears_empty_every_module_cache():
     tests' ``cold_caches`` fixture calls, empty every ``LRUCache`` that a
     homlattice module holds as a global, so no cache added later can
     carry answers from one test into the next. They also empty the
-    per-host stores of hom counts, a dict of hosts held weakly."""
+    per-host stores of hom counts, a dict of hosts held weakly, and
+    forget the key of its newest entry."""
     import importlib
     import pkgutil
 
@@ -139,4 +140,4 @@ def test_cache_clears_empty_every_module_cache():
     basis.expansion_cache_clear()
     treedp.hom_cache_clear()
     assert [name for name, cache in caches.items() if len(cache)] == []
-    assert treedp._memo == {}
+    assert treedp._memo == {} and treedp._newest is None

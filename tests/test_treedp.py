@@ -857,6 +857,78 @@ def test_store_bounds_hold_over_many_hosts(monkeypatch):
     assert info.hits > 0 and info.misses > 0
 
 
+def test_store_order_follows_every_use():
+    """Queries over ``_MEMO_HOSTS + 1`` hosts, the same host twice in a
+    row and back to older hosts, keep the stores in the order of their
+    hosts' last uses and evict the least recently used one, as a list
+    that moves each used host to its end does."""
+    rng = random.Random(167)
+    hosts = [random_host(rng, 6 + k, 10) for k in range(
+        treedp._MEMO_HOSTS + 1)]
+    expected = {}
+    model = []
+    for i in (0, 1, 1, 2, 0, 3, 3, 3, 1, 4, 0, 2, 2, 4, 1, 3, 0, 0, 4):
+        host = hosts[i]
+        if i not in expected:
+            expected[i] = brute_restricted(LI, path(4), host)
+        assert count_restricted(LI, path(4), host) == expected[i]
+        if i in model:
+            model.remove(i)
+        elif len(model) == treedp._MEMO_HOSTS:
+            del model[0]
+        model.append(i)
+        assert [ref() for ref in treedp._memo] == [hosts[j] for j in model]
+        assert treedp._store(host).ref() is host
+
+
+def test_a_new_host_after_the_newest_store_died():
+    """A host that dies while its store is the newest takes the store
+    with it; an equal host made next counts into a store of its own, and
+    so does an unequal host made after that one died."""
+    rng = random.Random(173)
+    host = random_host(rng, 9, 15)
+    value = count_restricted(LI, path(4), host)
+    assert count_restricted(LI, path(4), host) == value
+    edges = sorted(host.edges)
+    assert list(treedp._memo)[-1]() is host
+    del host
+    assert treedp._memo == {}
+    equal = Graph(9, edges)
+    assert count_restricted(LI, path(4), equal) == value
+    assert treedp.hom_cache_info().misses > 0
+    assert list(treedp._memo)[-1]() is equal
+    del equal
+    assert treedp._memo == {}
+    for _ in range(5):
+        other = random_host(rng, 9, 15)
+        assert (count_restricted(LI, path(4), other)
+                == brute_restricted(LI, path(4), other))
+        assert treedp._store(other).ref() is other
+
+
+def test_clear_between_warm_queries_forgets_the_counts(monkeypatch):
+    """``hom_cache_clear`` between two warm queries on one host forgets
+    every count: the next query counts each distinct component again,
+    into a new store, and the one after it counts none."""
+    host = random_host(random.Random(179), 9, 15)
+    pattern = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    value = count_restricted(EMB, pattern, host)
+    assert count_restricted(EMB, pattern, host) == value
+    roots = {root for term in expand(EMB, pattern).terms
+             for root, _, _, _ in treedp._counted(term.graph)}
+    old = treedp._store(host)
+    treedp.hom_cache_clear()
+    eliminated = []
+    eliminate = treedp._eliminate
+    monkeypatch.setattr(treedp, "_eliminate", lambda *args: eliminated.append(
+        args[0]) or eliminate(*args))
+    assert count_restricted(EMB, pattern, host) == value
+    assert treedp._store(host) is not old
+    assert len(eliminated) == treedp.hom_cache_info().misses == len(roots)
+    assert count_restricted(EMB, pattern, host) == value
+    assert len(eliminated) == len(roots)
+
+
 def _later_neighbours(graph, order):
     """Per vertex of the order, its neighbours later in the order, before
     any fill-in."""

@@ -161,3 +161,30 @@ def test_restriction_validates_kind_radius_and_build():
     custom = custom_restriction(build, name="same")
     assert custom == Restriction("custom", name="same", build=build)
     assert custom.label() == "same" and custom.token() is None
+
+
+def test_restriction_token_is_kept_beside_the_fields():
+    """The cache token is worked out once per restriction and kept in a
+    slot that is not a field: every built-in restriction keeps its token
+    value through pickling and copying, and equality, hashing and repr
+    read the four fields only. A custom restriction's token is None."""
+    tokens = [(HOM, ("hom", None)), (LI, ("li", None)),
+              (locally_injective(1), ("li", None)),
+              (locally_injective(2), ("li", 2)),
+              (Restriction("li", radius=3), ("li", 3)),
+              (Restriction("emb"), ("emb", None))]
+    for restriction, token in tokens:
+        assert restriction.token() == token
+        assert restriction.token() is restriction.token()
+        for other in (pickle.loads(pickle.dumps(restriction)),
+                      copy.deepcopy(restriction), copy.copy(restriction)):
+            assert other == restriction and hash(other) == hash(restriction)
+            assert other.token() == token and repr(other) == repr(restriction)
+        assert "_token" not in repr(restriction)
+        with pytest.raises(AttributeError):
+            restriction._token = None
+    assert locally_injective(1) == Restriction("li", radius=1) != LI
+    assert hash(LI) == hash(_twin(LI))
+    custom = custom_restriction(len, name="sized")
+    assert custom.token() is None
+    assert pickle.loads(pickle.dumps(custom)).token() is None
