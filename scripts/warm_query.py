@@ -14,8 +14,10 @@ first pass fills the expansion cache and the per-host stores; each of
 count of the query's expansion, the median ns of a warm query
 (``median_ns``) and how many queries have that many terms (``queries``);
 and ``timer_ns``, the median of an empty timed interval, which every
-reading includes. The hom-count memo keeps the stores of 4 hosts, so
-with more hosts the timed queries are no longer all warm.
+reading includes. The hom-count memo keeps the stores of at most
+``treedp._MEMO_HOSTS`` hosts, and past that bound the timed queries
+would count their terms again, so a larger ``--hosts`` is refused with
+a usage error.
 """
 
 import argparse
@@ -33,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from homlattice import (Graph, canonical_form, count_restricted, expand,
                         parse_restriction)
+from homlattice.treedp import _MEMO_HOSTS
 
 RESTRICTIONS = ("hom", "emb", "li", "li:2")
 
@@ -64,6 +67,9 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--passes", type=int, default=20)
     args = parser.parse_args()
+    if args.hosts > _MEMO_HOSTS:
+        parser.error(f"--hosts {args.hosts} exceeds the {_MEMO_HOSTS} hosts "
+                     "whose hom counts stay stored")
 
     rng = Random(args.seed)
     patterns = graphs_up_to(args.max_n)

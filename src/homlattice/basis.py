@@ -20,10 +20,14 @@ only, the representative of its own class.
 Expansions under built-in restrictions are cached in one least recently
 used cache of at most ``_EXPANSION_CACHE_SIZE`` entries. Each expansion
 is stored under its class key (canonical key, restriction token) and
-under the labelled key (pattern ``Graph``, token) it was asked for, so a
-re-queried labelled pattern needs no canonical search and an isomorphic
-relabelling needs one. ``expansion_cache_info`` and
-``expansion_cache_clear`` report on and empty the cache.
+under the labelled key (the pattern's stored hash, token) it was asked
+for, so a re-queried labelled pattern needs no canonical search and an
+isomorphic relabelling needs one. A labelled key is an int and a token,
+so the cache hashes it without calling back into ``Graph``, and no
+canonical key, a tuple, equals it. Its entry serves a pattern that is
+or equals the entry's own; an unequal pattern of the same hash misses
+and replaces it. ``expansion_cache_info`` and ``expansion_cache_clear``
+report on and empty the cache.
 
 Expansions share one representative ``Graph`` per isomorphism class,
 kept under its canonical key in a second least recently used store of
@@ -39,7 +43,8 @@ other expansion plans, and so checks, every term on each call.
 
 from . import graphs
 from .cache import LRUCache
-from .errors import HomlatticeError, HostError, ensure_pattern_size
+from .errors import (DEFAULT_PATTERN_LIMIT, HomlatticeError, HostError,
+                     ensure_pattern_size)
 from .flats import enumerate_flats
 from .graphs import _Value, _canonical, _placed, quotient
 from .restrictions import EMB, apply_restriction
@@ -147,28 +152,38 @@ def _group_quotients(pattern, items, bottom):
 def expand(restriction, pattern, limit=None):
     """Signed minor expansion of the restricted count for this pattern.
 
-    Results for built-in restrictions are cached per labelled pattern and
-    per isomorphism class; custom restrictions are never cached since
-    nothing ties their output to the pattern's isomorphism class. A hit
-    is the cached expansion if it holds these very pattern and
-    restriction objects, else a copy sharing its plan. On a miss, every
-    quotient still takes its canonical search and every class its
-    relabelling, and then each term takes its class's representative
-    from the shared store (see the module notes), or leaves its own
-    there. A warm call reads the pattern's loop flag and the
-    restriction's token from their slots, and calls no method of either.
+    Results for built-in restrictions are cached per labelled pattern,
+    keyed by its stored hash, and per isomorphism class; custom
+    restrictions are never cached since nothing ties their output to the
+    pattern's isomorphism class. A labelled entry serves its own pattern
+    or an equal one; another pattern of the same hash counts a miss. A
+    hit is the cached expansion if it holds this very restriction
+    object, else a copy with this pattern and restriction that shares
+    its plan. On a miss, every quotient still takes its canonical search
+    and every class its relabelling, and then each term takes its
+    class's representative from the shared store (see the module notes),
+    or leaves its own there. A warm call reads the pattern's loop flag,
+    size and hash and the restriction's token from their slots and
+    compares the size inline, so it calls no method of either; only an
+    equal pattern that is not the cached object costs a ``Graph.__eq__``.
     """
     if pattern._loops:
         raise HomlatticeError("pattern must be loop-free")
-    ensure_pattern_size(pattern.n, limit)
+    if pattern.n > (DEFAULT_PATTERN_LIMIT if limit is None else limit):
+        ensure_pattern_size(pattern.n, limit)
     token = restriction._token
-    labelled = (pattern, token)
+    labelled = (pattern._hash, token)
     if token is not None:
         hit = _expansion_cache.get(labelled)
         if hit is not None:
-            if hit.pattern is pattern and hit.restriction is restriction:
-                return hit
-            return BasisExpansion(pattern, restriction, hit.terms, hit._plan)
+            if hit.pattern is pattern or hit.pattern == pattern:
+                if hit.restriction is restriction:
+                    return hit
+                return BasisExpansion(pattern, restriction, hit.terms,
+                                      hit._plan)
+            # Another pattern's hash: a miss, and the put below replaces it.
+            _expansion_cache.hits -= 1
+            _expansion_cache.misses += 1
     # Through the module, so a wrapper set on graphs sees the search.
     pattern_key, perm, _ = graphs._canonical_search(pattern)
     class_key = (pattern_key, token)
@@ -226,7 +241,8 @@ def evaluate(expansion, host, limit=None):
 def count_restricted(restriction, pattern, host, limit=None):
     """Restricted homomorphism count: ``evaluate`` of ``expand``, so a
     warm query is the pattern's checks, one cache hit and one plan
-    replay."""
+    replay, and calls no Python function but ``expand``,
+    ``LRUCache.get``, ``evaluate`` and ``treedp._hom_sum``."""
     return evaluate(expand(restriction, pattern, limit), host, limit)
 
 

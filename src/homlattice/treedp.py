@@ -53,7 +53,8 @@ live, least recently used first out; queries that stay on one host
 find its store through its key, ``_newest``, and move nothing.
 ``hom_count`` and ``basis.evaluate`` both count through ``_hom_sum``,
 which replays a plan (see ``_sum_plan``): it checks the host and the
-largest term's size, fetches the host's store once and looks each
+largest term's size, reads the newest store straight from ``_memo``
+when its host is this one (calling ``_store`` otherwise) and looks each
 component up by id. ``hom_cache_info`` reports on the counts, and
 ``hom_cache_clear`` empties every store.
 """
@@ -66,7 +67,8 @@ from math import factorial
 from operator import mul
 
 from .cache import CacheInfo, LRUCache
-from .errors import HomlatticeError, HostError, ensure_pattern_size
+from .errors import (DEFAULT_PATTERN_LIMIT, HomlatticeError, HostError,
+                     ensure_pattern_size)
 from .graphs import breadth_first, connected_components
 
 _MEMO_HOSTS = 4
@@ -123,21 +125,21 @@ class _Store(dict):
 
 
 def _store(host):
-    """The host's store in ``_memo``, made on its first use; past
-    ``_MEMO_HOSTS`` stores, the least recently used one leaves. The
-    store keyed by ``_newest`` is returned with no new weak reference
-    and no move when its host is this one; a dead key matches no host."""
+    """The host's store in ``_memo``, made on its first use and moved to
+    the newest place; past ``_MEMO_HOSTS`` stores, the least recently
+    used one leaves. ``_hom_sum`` reads the newest store itself when
+    ``_newest`` refers to this host (a dead reference refers to none),
+    and calls this otherwise."""
     global _newest
-    if _newest is None or _newest() is not host:
-        ref = weakref.ref(host)  # the key itself while the store is held
-        store = _memo.pop(ref, None)
-        if store is None:
-            if len(_memo) >= _MEMO_HOSTS:
-                del _memo[next(iter(_memo))]
-            store = _Store(host, ref)
-        _newest = store.ref
-        _memo[_newest] = store
-    return _memo[_newest]
+    ref = weakref.ref(host)  # the key itself while the store is held
+    store = _memo.pop(ref, None)
+    if store is None:
+        if len(_memo) >= _MEMO_HOSTS:
+            del _memo[next(iter(_memo))]
+        store = _Store(host, ref)
+    _newest = store.ref
+    _memo[_newest] = store
+    return store
 
 
 def _boundary_size(adj_masks, elim_mask, v):
@@ -635,17 +637,24 @@ def hom_count(pattern, host, limit=None):
 
 def _hom_sum(plan, host, limit=None):
     """Sum of c * hom_count(pattern, host) over a plan's terms: one host
-    check and store fetch, one size check and one store lookup per
-    component. A plan built before the last ``hom_cache_clear`` takes
-    its components afresh, so it names no forgotten id."""
+    check, one inline size check, one store fetch and one store lookup
+    per component. ``ensure_pattern_size`` is called only to raise, and
+    ``_store`` only when the host is not the newest store's, so a warm
+    replay on the host queried last calls no other Python function. A
+    plan built before the last ``hom_cache_clear`` takes its components
+    afresh, so it names no forgotten id."""
     if host._loops:
         raise HostError("host must be loop-free")
     clears, size, entries = plan
-    ensure_pattern_size(size, limit)
+    if size > (DEFAULT_PATTERN_LIMIT if limit is None else limit):
+        ensure_pattern_size(size, limit)
     if clears != _clears:  # built before a clear forgot its ids
         entries = [(c, p, _counted(p)) for c, p, _ in entries]
         plan[:] = _clears, size, entries
-    store = _store(host)
+    if _newest is not None and _newest() is host:
+        store = _memo[_newest]
+    else:
+        store = _store(host)
     get = store.get
     total = hits = 0
     try:

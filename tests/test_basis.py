@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -300,7 +301,8 @@ def test_warm_query_counts_one_hit_per_probe_and_component():
         assert [a - b for a, b in zip(after[0], before[0])] == [1, 0, 0, 0]
         assert [a - b for a, b in zip(after[1], before[1])] == [
             components[i], 0, 0, 0]
-        assert list(basis._expansion_cache._entries)[-1] == (p, tau.token())
+        assert list(basis._expansion_cache._entries)[-1] == (p._hash,
+                                                             tau.token())
 
 
 def test_relabelled_first_query_misses_once_then_hits_its_class():
@@ -312,7 +314,8 @@ def test_relabelled_first_query_misses_once_then_hits_its_class():
     pattern = path(4)
     relabelled = pattern.relabeled((2, 0, 3, 1))
     value = count_restricted(LI, pattern, host)
-    labelled, other = (pattern, LI.token()), (relabelled, LI.token())
+    labelled = (pattern._hash, LI.token())
+    other = (relabelled._hash, LI.token())
     class_key = (graphs.canonical_form(pattern), LI.token())
     assert list(basis._expansion_cache._entries) == [class_key, labelled]
     info = basis.expansion_cache_info()
@@ -325,6 +328,72 @@ def test_relabelled_first_query_misses_once_then_hits_its_class():
     assert count_restricted(LI, relabelled, host) == value
     assert basis.expansion_cache_info().hits == after.hits + 1
     assert basis.expansion_cache_info().misses == after.misses
+
+
+def _python_calls(function, *args):
+    """The value of ``function(*args)`` and the qualified names of the
+    Python functions it entered, itself first, in order."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        value = function(*args)
+    finally:
+        sys.setprofile(None)
+    return value, names
+
+
+def test_warm_query_makes_five_python_calls():
+    """A warm ``count_restricted`` on the pattern asked before enters
+    ``expand``, ``LRUCache.get``, ``evaluate`` and ``_hom_sum`` and no
+    other Python function; an equal but distinct pattern object adds one
+    ``Graph.__eq__`` and nothing else."""
+    host = random_host(random.Random(167), 8, 13)
+    pattern = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    value = count_restricted(LI, pattern, host)
+    assert len(expand(LI, pattern)) > 1
+    warm = ["count_restricted", "expand", "LRUCache.get", "evaluate",
+            "_hom_sum"]
+    for _ in range(2):
+        assert _python_calls(count_restricted, LI, pattern, host) == (
+            value, warm)
+    twin = Graph(5, pattern.edge_list())
+    assert twin == pattern and twin is not pattern
+    assert _python_calls(count_restricted, LI, twin, host) == (
+        value, warm[:3] + ["Graph.__eq__"] + warm[3:])
+
+
+def test_patterns_sharing_a_hash_never_share_an_expansion():
+    """Two unequal patterns forced onto one stored hash, queried in turn,
+    each get their own expansion and oracle value: a labelled entry of the
+    other pattern counts as a miss and is replaced, and the query then
+    hits its own class key."""
+    host = random_host(random.Random(173), 8, 14)
+    first = path(4)
+    second = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    object.__setattr__(second, "_hash", first._hash)
+    assert first != second and hash(first) == hash(second)
+    patterns = (first, second)
+    for tau in (LI, EMB, locally_injective(2)):
+        basis.expansion_cache_clear()
+        wanted = {p: brute_restricted(tau, p, host) for p in patterns}
+        terms = {p: expand(tau, p).terms for p in patterns}
+        assert terms[first] != terms[second]
+        labelled = (first._hash, tau.token())
+        for p in patterns * 3:
+            before = basis.expansion_cache_info()
+            expansion = expand(tau, p)
+            after = basis.expansion_cache_info()
+            assert expansion.pattern is p and expansion.terms == terms[p]
+            assert (after.hits - before.hits,
+                    after.misses - before.misses) == (1, 1)
+            assert basis._expansion_cache._entries[labelled].pattern is p
+            assert count_restricted(tau, p, host) == wanted[p]
+            assert expand(tau, p).pattern is p
 
 
 def test_custom_restrictions_are_never_cached():
@@ -390,10 +459,20 @@ def test_evaluate_takes_the_limit_from_the_caller(monkeypatch):
         monkeypatch.setenv("HOMLATTICE_LIMIT", setting)
         assert evaluate(expansion, host) == value
         assert count_restricted(LI, cycle(5), host) == value
-    with pytest.raises(PatternSizeError):
-        evaluate(expansion, host, limit=4)
-    with pytest.raises(PatternSizeError):
+    # Cold and warm refusals, by expand or by the plan replay, say one
+    # thing.
+    refusal = "pattern on 5 vertices exceeds the enumeration limit 4"
+    basis.expansion_cache_clear()
+    with pytest.raises(PatternSizeError) as cold:
         count_restricted(LI, cycle(5), host, limit=4)
+    assert str(cold.value) == refusal
+    assert count_restricted(LI, cycle(5), host) == value
+    with pytest.raises(PatternSizeError) as warm:
+        count_restricted(LI, cycle(5), host, limit=4)
+    assert str(warm.value) == refusal
+    with pytest.raises(PatternSizeError) as replay:
+        evaluate(expansion, host, limit=4)
+    assert str(replay.value) == refusal
     assert evaluate(expansion, host, limit=5) == value
 
 

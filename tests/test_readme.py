@@ -6,6 +6,7 @@ import subprocess
 import sys
 from random import Random
 
+from homlattice import treedp
 from helpers import random_host
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -126,7 +127,8 @@ def test_code_lines_script_runs(tmp_path):
 def test_warm_query_script_runs():
     """The warm-query script times every query over the graphs with at
     most 3 vertices under four restrictions on two tiny hosts, and
-    reports a median per term count that covers every query."""
+    reports a median per term count that covers every query; it refuses
+    more hosts than the hom-count memo keeps stores for."""
     script = "scripts/warm_query.py"
     assert f"python3 {script} " in README.read_text()
     run = subprocess.run([sys.executable, script, "--max-n", "3", "--hosts",
@@ -144,6 +146,14 @@ def test_warm_query_script_runs():
     assert "1" in report["queries"]
     assert all(ns > 0 for ns in report["median_ns"].values())
     assert report["timer_ns"] >= 0
+    # Past the hosts whose stores the hom-count memo keeps, no query
+    # would stay warm: a usage error, before any query runs.
+    hosts = str(treedp._MEMO_HOSTS + 1)
+    run = subprocess.run([sys.executable, script, "--hosts", hosts],
+                         cwd=ROOT, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert f"--hosts {hosts} exceeds" in run.stderr
 
 
 def _synopsis_variants(words):
