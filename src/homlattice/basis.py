@@ -231,7 +231,8 @@ def evaluate(expansion, host, limit=None):
     expansion builds one on every call."""
     plan = expansion._plan
     if not plan:  # not cached (None), or not evaluated yet
-        plan = _sum_plan(expansion.terms, limit, plan)
+        plan = _sum_plan(((t.coefficient, t.graph) for t in expansion.terms),
+                         limit, plan)
     total = _hom_sum(plan, host, limit)
     if total < 0:
         raise AssertionError("restricted count came out negative")

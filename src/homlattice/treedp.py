@@ -51,12 +51,15 @@ adjacency. Hosts are held weakly: a store leaves when its host dies, an
 equal host finds it while it lives, and at most ``_MEMO_HOSTS`` stores
 live, least recently used first out; queries that stay on one host
 find its store through its key, ``_newest``, and move nothing.
-``hom_count`` and ``basis.evaluate`` both count through ``_hom_sum``,
-which replays a plan (see ``_sum_plan``): it checks the host and the
+``hom_count`` and ``basis.evaluate`` both build their plans through
+``_sum_plan``, which holds each component's root id and steps, and count
+through ``_hom_sum``, which replays a plan: it checks the host and the
 largest term's size, reads the newest store straight from ``_memo``
-when its host is this one (calling ``_store`` otherwise) and looks each
-component up by id. ``hom_cache_info`` reports on the counts, and
-``hom_cache_clear`` empties every store.
+when its host is this one (calling ``_store`` otherwise), looks each
+component up by id and replays the component's steps on a miss.
+``hom_cache_info`` reports on the counts, and ``hom_cache_clear``
+empties every store and forgets the step ids; no id is given out
+twice, so the steps and plans cached before a clear stay right.
 """
 
 import itertools
@@ -81,14 +84,12 @@ _newest = None
 # host-free step key -> its id (see _intern); ids are never reused
 _ids = LRUCache(4 * _MEMO_TERMS)
 _fresh = itertools.count(1)
-# hom_cache_clear calls so far; a plan keeps the count it was built at
-_clears = 0
 
 
 def _intern(key):
     """The id of a host-free step key (see ``_steps``), shared by equal
-    keys while ``_ids`` holds them. An evicted key takes a new id, and no
-    id is ever given to a second key."""
+    keys while ``_ids`` holds them. An evicted or cleared key takes a new
+    id, and no id is ever given to a second key."""
     ident = _ids.get(key)
     if ident is None:
         ident = next(_fresh)
@@ -566,17 +567,18 @@ def _steps(pattern, order, width):
                        for j, step in enumerate(kept))
 
 
-def _eliminate(pattern, host, order, width, store):
-    """Homomorphism count of a connected pattern on a host: the steps of
-    ``_steps`` replayed in order, each table freed after the last step
-    that reads it. A unary bucket's vector is looked up in ``store``, the
-    host's store (see ``_store``), before it is computed and stored; its
-    id names no pattern vertex, so patterns share vectors on one host.
+def _eliminate(steps, host, store):
+    """Homomorphism count of a connected pattern on a host: its steps
+    (see ``_steps``) replayed in order, each table freed after the last
+    step that reads it. A unary bucket's vector is looked up in
+    ``store``, the host's store (see ``_store``), before it is computed
+    and stored; its id names no pattern vertex, so patterns share
+    vectors on one host.
     Root sums and summed joins are left to the caller, and an empty
     table ends the count at 0."""
     adj = host._adj  # the host's own adjacency tuple, not a copy
     tables = []
-    for run, reads, ident, frees in _steps(pattern, order, width)[1]:
+    for run, reads, ident, frees in steps:
         table = store.get(ident) if ident else None
         if table is None:
             table = run(adj, *map(tables.__getitem__, reads))
@@ -592,31 +594,30 @@ def _eliminate(pattern, host, order, width, store):
 
 @lru_cache(maxsize=1024)
 def _counted(pattern):
-    """``(root id, component, order, width)`` per component of the
-    pattern's plan (see ``_plan``, whose None stands for the pattern
-    itself), kept apart from it so ``treewidth_exact`` compiles nothing."""
-    return tuple((_steps(pattern if comp is None else comp, order, width)[0],
-                  comp, order, width)
+    """``(root id, steps)`` of ``_steps`` per component of the pattern's
+    plan (see ``_plan``, whose None stands for the pattern itself), kept
+    apart from it so ``treewidth_exact`` compiles nothing."""
+    return tuple(_steps(pattern if comp is None else comp, order, width)
                  for comp, width, order in _plan(pattern)[2])
 
 
-def _sum_plan(terms, limit, plan):
+def _sum_plan(terms, limit, plan=None):
     """Fill ``plan``, a list (a new one if None), with the plan that
-    ``_hom_sum`` replays for ``terms``, each with a ``coefficient`` and a
-    pattern ``graph``: ``_clears``, the largest pattern's size and
-    (coefficient, pattern, ``_counted(pattern)``) per term. Each pattern
-    is checked here only, before ``_counted`` works on it."""
+    ``_hom_sum`` replays for ``terms``, (coefficient, pattern) pairs: the
+    largest pattern's size and (coefficient, ``_counted(pattern)``) per
+    term. Each pattern is checked here only, before ``_counted`` works on
+    it. No id the plan holds is ever given to another key, so the plan
+    stays right after ``hom_cache_clear``."""
     size, entries = 0, []
-    for term in terms:
-        pattern = term.graph
+    for coefficient, pattern in terms:
         if not pattern.is_loop_free():
             raise HomlatticeError("pattern must be loop-free")
         ensure_pattern_size(pattern.n, limit)
-        entries.append((term.coefficient, pattern, _counted(pattern)))
+        entries.append((coefficient, _counted(pattern)))
         if pattern.n > size:
             size = pattern.n
     plan = [] if plan is None else plan
-    plan[:] = _clears, size, entries
+    plan[:] = size, entries
     return plan
 
 
@@ -628,29 +629,21 @@ def hom_count(pattern, host, limit=None):
     each component's count is memoised per host (see the module notes).
     This replays the one-term plan of (1, pattern).
     """
-    if pattern._loops:
-        raise HomlatticeError("pattern must be loop-free")
-    ensure_pattern_size(pattern.n, limit)
-    return _hom_sum([_clears, pattern.n, ((1, pattern, _counted(pattern)),)],
-                    host, limit)
+    return _hom_sum(_sum_plan(((1, pattern),), limit), host, limit)
 
 
 def _hom_sum(plan, host, limit=None):
     """Sum of c * hom_count(pattern, host) over a plan's terms: one host
     check, one inline size check, one store fetch and one store lookup
-    per component. ``ensure_pattern_size`` is called only to raise, and
-    ``_store`` only when the host is not the newest store's, so a warm
-    replay on the host queried last calls no other Python function. A
-    plan built before the last ``hom_cache_clear`` takes its components
-    afresh, so it names no forgotten id."""
+    per component, whose steps a miss replays. ``ensure_pattern_size`` is
+    called only to raise, and ``_store`` only when the host is not the
+    newest store's, so a warm replay on the host queried last calls no
+    other Python function."""
     if host._loops:
         raise HostError("host must be loop-free")
-    clears, size, entries = plan
+    size, entries = plan
     if size > (DEFAULT_PATTERN_LIMIT if limit is None else limit):
         ensure_pattern_size(size, limit)
-    if clears != _clears:  # built before a clear forgot its ids
-        entries = [(c, p, _counted(p)) for c, p, _ in entries]
-        plan[:] = _clears, size, entries
     if _newest is not None and _newest() is host:
         store = _memo[_newest]
     else:
@@ -658,13 +651,12 @@ def _hom_sum(plan, host, limit=None):
     get = store.get
     total = hits = 0
     try:
-        for coefficient, pattern, components in entries:
+        for coefficient, components in entries:
             product = 1
-            for root, comp, order, width in components:
+            for root, steps in components:
                 count = get(root)
                 if count is None:
-                    count = _eliminate(pattern if comp is None else comp,
-                                       host, order, width, store)
+                    count = _eliminate(steps, host, store)
                     store.put_count(root, count)
                 else:
                     hits += 1
@@ -691,12 +683,10 @@ def hom_cache_info():
 
 def hom_cache_clear():
     """Forget every memoised hom count and every stored vector message,
-    with the step ids they were stored under and the cached steps and
-    per-pattern lists that hold those ids. Compiled kernels stay."""
-    global _clears, _newest
-    _clears += 1
+    and the step ids they were stored under. Cached steps, per-pattern
+    lists and compiled kernels stay: no id is ever given to a second
+    key, so the ids they hold name nothing stored after the clear."""
+    global _newest
     _memo.clear()
     _newest = None
     _ids.clear()
-    _counted.cache_clear()
-    _steps.cache_clear()

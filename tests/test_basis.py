@@ -232,9 +232,10 @@ def test_warm_query_replays_its_plan(monkeypatch):
     """A warm ``count_restricted`` makes no elimination and lists no
     components: one memo hit per component, whether the pattern is the
     one asked before or an isomorphic relabelling. After
-    ``hom_cache_clear`` the first evaluation counts each distinct
-    component once and the next counts none, and ``hom_count`` of each
-    term then hits the ids that the plan names."""
+    ``hom_cache_clear`` the first evaluation replays the plan it holds,
+    listing no components again, and counts each distinct component
+    once; the next counts none, and ``hom_count`` of each term then hits
+    the ids that the plan names."""
     host = random_host(random.Random(131), 9, 22)
     pattern = Graph(5, [(0, 1), (1, 2), (3, 4)])
     value = count_restricted(EMB, pattern, host)
@@ -242,14 +243,13 @@ def test_warm_query_replays_its_plan(monkeypatch):
     expansion = expand(EMB, pattern)
     parts = [part for term in expansion.terms
              for part in treedp._counted(term.graph)]
-    assert len(parts) > len({root for root, _, _, _ in parts}) > 1
+    assert len(parts) > len({root for root, _ in parts}) > 1
     assert all(treedp.hom_count(term.graph, host)
                for term in expansion.terms)
     calls = Counter()
     counted = treedp._counted
     monkeypatch.setattr(treedp, "_counted", lambda pattern: calls.update(
         ["_counted"]) or counted(pattern))
-    treedp._counted.cache_clear = counted.cache_clear
     eliminate = treedp._eliminate
     monkeypatch.setattr(treedp, "_eliminate", lambda *args: calls.update(
         ["_eliminate"]) or eliminate(*args))
@@ -263,7 +263,7 @@ def test_warm_query_replays_its_plan(monkeypatch):
             len(parts), before.misses)
     treedp.hom_cache_clear()
     assert count_restricted(EMB, pattern, host) == value
-    assert calls["_eliminate"] == len({root for root, _, _, _ in parts})
+    assert calls == Counter(_eliminate=len({root for root, _ in parts}))
     calls.clear()
     assert evaluate(expansion, host) == value
     assert calls["_eliminate"] == 0
@@ -274,6 +274,54 @@ def test_warm_query_replays_its_plan(monkeypatch):
         assert after.misses == before.misses
         assert after.hits > before.hits
     assert calls["_eliminate"] == 0
+
+
+def test_plan_built_before_a_clear_stays_right():
+    """An expansion evaluated before ``hom_cache_clear`` replays the plan
+    it built then, and gives the oracle's value on a host first seen
+    after the clear, even once other patterns have been planned afresh
+    and counted on that host: the ids they take name none of the plan's
+    components."""
+    rng = random.Random(181)
+    queries = [(EMB, Graph(5, [(0, 1), (1, 2), (3, 4)])), (LI, path(4)),
+               (locally_injective(2), cycle(5))]
+    first = random_host(rng, 8, 13)
+    expansions = [expand(tau, p) for tau, p in queries]
+    for (tau, p), expansion in zip(queries, expansions):
+        assert evaluate(expansion, first) == brute_restricted(tau, p, first)
+    plans = [list(expansion._plan) for expansion in expansions]
+    treedp.hom_cache_clear()
+    treedp._steps.cache_clear()
+    treedp._counted.cache_clear()
+    fresh = random_host(rng, 9, 15)
+    for p in graphs_up_to(4):
+        assert treedp.hom_count(p, fresh) == brute_hom(p, fresh)
+    for (tau, p), expansion, plan in zip(queries, expansions, plans):
+        assert evaluate(expansion, fresh) == brute_restricted(tau, p, fresh)
+        assert expansion._plan == plan
+
+
+def test_second_host_replays_the_cached_plan(monkeypatch):
+    """Counting a cached expansion on a second host replays the steps its
+    plan holds: it counts every component there, and calls neither
+    ``_steps`` nor ``_counted``."""
+    rng = random.Random(191)
+    first, second = random_host(rng, 8, 13), random_host(rng, 10, 18)
+    queries = [(EMB, Graph(5, [(0, 1), (1, 2), (3, 4)])), (LI, cycle(5)),
+               (locally_injective(2), path(5))]
+    for tau, p in queries:
+        count_restricted(tau, p, first)
+    calls = Counter()
+    for name in ("_steps", "_counted", "_eliminate"):
+        def traced(*args, real=getattr(treedp, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(treedp, name, traced)
+    for tau, p in queries:
+        assert count_restricted(tau, p, second) == brute_restricted(
+            tau, p, second)
+    assert calls["_eliminate"] > len(queries)
+    assert calls["_steps"] == calls["_counted"] == 0
 
 
 def test_warm_query_counts_one_hit_per_probe_and_component():

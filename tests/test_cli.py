@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homlattice
+from homlattice import cli, restrictions
 from homlattice.basis import expand
 from homlattice.cli import main, parse_graph, parse_manifest, serialize_graph
 from homlattice.errors import ParseError
 from homlattice.graphs import Graph, clique, cycle, path, windmill
 from homlattice.restrictions import LI, max_minor_treewidth
+from homlattice.treedp import treewidth_exact
 
 
 @pytest.fixture
@@ -130,6 +132,18 @@ def test_minors_command(capsys, graph_file):
                  graph_file("w3.g", windmill(3))]) == 0
     out = capsys.readouterr().out
     assert out.endswith("max-treewidth: 3\n")
+
+
+def test_minors_computes_each_width_once(capsys, graph_file, monkeypatch):
+    widths = []
+    for module in (cli, restrictions):
+        monkeypatch.setattr(module, "treewidth_exact",
+                            lambda graph, limit=None, real=treewidth_exact:
+                            widths.append(graph) or real(graph, limit))
+    w3 = graph_file("w3.g", windmill(3))
+    assert main(["minors", "--tau", "li", "--pattern", w3]) == 0
+    assert capsys.readouterr().out.endswith("max-treewidth: 3\n")
+    assert widths == [term.graph for term in expand(LI, windmill(3)).terms]
 
 
 def test_minors_on_the_empty_pattern(capsys, write):

@@ -332,7 +332,7 @@ def test_counting_builds_no_edge_set():
     # What the store counted: each connected term as it is, and each
     # component of a disconnected one.
     counted = [g if comp is None else comp for g in terms
-               for _, comp, _, _ in treedp._counted(g)]
+               for comp, _, _ in treedp._plan(g)[2]]
     graphs = [host, *patterns, *terms, *counted]
     assert set(map(id, counted)) - set(map(id, terms))  # components
     for g in graphs:

@@ -164,6 +164,7 @@ def test_vector_path_matches_general_join(monkeypatch):
     monkeypatch.setattr(treedp, "_vector_message", joined(1))
     monkeypatch.setattr(treedp, "_root_sum", joined(0))
     treedp._steps.cache_clear()
+    treedp._counted.cache_clear()
     assert [hom_count(tree, host) for tree in trees] == vector
     assert forced.count(0) == len(trees) and 1 in forced
     assert len(runs) == len(forced)
@@ -302,9 +303,9 @@ def test_kernels_are_cached_per_shape_and_name_no_host(monkeypatch):
 def test_steps_are_built_once_and_replayed_on_every_host(monkeypatch):
     """Counting one pattern on three hosts builds its steps on the first
     and replays them on the other two, which compile no kernel and find
-    no twins: the steps miss once, for the pattern's root id, and hit
-    once per host, for its elimination there. ``treewidth_exact`` builds
-    no steps and compiles nothing."""
+    no twins: the steps miss once, for the pattern's plan, and no host
+    looks them up again, since each replays the steps its plan holds.
+    ``treewidth_exact`` builds no steps and compiles nothing."""
     rng = random.Random(101)
     fresh = random_graph(rng, 9, 0.4)
     planned = treedp._plan.cache_info().misses
@@ -328,7 +329,14 @@ def test_steps_are_built_once_and_replayed_on_every_host(monkeypatch):
         assert ({"_kernel", "_twins"} <= set(called)) == (k == 0)
         assert called == [] or k == 0
     info = treedp._steps.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def _eliminated(graph, host, order, width):
+    """``_eliminate``'s count of a connected graph along ``order``: the
+    replay of its ``_steps`` on the host."""
+    _, steps = treedp._steps(graph, order, width)
+    return treedp._eliminate(steps, host, treedp._store(host))
 
 
 def _both_eliminations(graph, host):
@@ -338,9 +346,8 @@ def _both_eliminations(graph, host):
     width, order, parts = treedp._plan(graph)
     count = 1
     for comp, comp_width, local in parts:
-        comp = graph if comp is None else comp
-        count *= treedp._eliminate(comp, host, local, comp_width,
-                                   treedp._store(host))
+        count *= _eliminated(graph if comp is None else comp, host, local,
+                             comp_width)
     return count, reference_eliminate(graph, host, order, width)
 
 
@@ -361,8 +368,7 @@ def test_eliminate_matches_reference_eliminate():
             for _ in range(3):
                 rng.shuffle(perm)
                 order = tuple(perm)
-                assert (treedp._eliminate(graph, small, order, pattern.n,
-                                          treedp._store(small))
+                assert (_eliminated(graph, small, order, pattern.n)
                         == reference_eliminate(graph, small, order,
                                                pattern.n))
     # Eliminating 2, 3, 5 and 6 leaves two buckets with equal edges and
@@ -370,14 +376,14 @@ def test_eliminate_matches_reference_eliminate():
     graph = Graph(7, [(0, 6), (1, 5), (2, 4), (2, 6), (3, 4), (3, 5),
                       (4, 5), (4, 6)])
     order = (2, 3, 5, 6, 0, 4, 1)
-    assert (treedp._eliminate(graph, small, order, 7, treedp._store(small))
+    assert (_eliminated(graph, small, order, 7)
             == reference_eliminate(graph, small, order, 7))
     # Buckets 0 and 1 share one triangle table, and buckets 2 and 3 one
     # vector summed from it: 3 is the last join bucket, its scope is 4
     # alone, and the root sums the shared vector's square.
     graph = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)])
     order = (0, 1, 2, 3, 4)
-    assert (treedp._eliminate(graph, small, order, 5, treedp._store(small))
+    assert (_eliminated(graph, small, order, 5)
             == reference_eliminate(graph, small, order, 5))
     uniform = random_host(rng, 300, 600)
     # A hub joined to every other vertex makes the widest tables.
@@ -500,13 +506,16 @@ def test_cycle_counts_on_large_hosts_are_traces():
             assert hom_count(canonical, host) == count
 
 
-def test_scope_beyond_width_is_caught():
+def test_scope_beyond_width_is_caught(monkeypatch):
     _, order = treedp._exact_order(cycle(4))
     with pytest.raises(AssertionError, match="width"):
         treedp._steps(cycle(4), order, 1)
+    # A plan that understates the width is caught before any host counts.
+    monkeypatch.setattr(treedp, "_plan",
+                        lambda graph: (1, order, ((None, 1, order),)))
     with pytest.raises(AssertionError, match="width"):
-        host = clique(3)
-        treedp._eliminate(cycle(4), host, order, 1, treedp._store(host))
+        hom_count(cycle(4), clique(3))
+    assert treedp._memo == {}
 
 
 def test_factor_out_of_elimination_order_is_caught():
@@ -675,7 +684,7 @@ def test_memo_hits_still_check_limits():
     with pytest.raises(PatternSizeError):
         hom_count(path(13), host)
     loopy = Graph(3, [(0, 0), (0, 1), (1, 2)], selfloops_allowed=True)
-    (root, _, _, _), = treedp._counted(path(2))
+    (root, _), = treedp._counted(path(2))
     # A planted entry must not answer.
     treedp._store(loopy)[root] = 1
     for pattern in (path(2), Graph(1), Graph(0)):
@@ -684,19 +693,28 @@ def test_memo_hits_still_check_limits():
 
 
 def test_components_are_counted_once_per_host(monkeypatch):
+    """Each component's steps are replayed once per host, whichever
+    pattern holds it; a connected pattern is planned as itself, not
+    rebuilt, and replays the steps its own plan holds."""
     eliminate = treedp._eliminate
     eliminated = []
     monkeypatch.setattr(
         treedp, "_eliminate",
-        lambda comp, *rest: eliminated.append(comp) or eliminate(comp, *rest))
+        lambda steps, *rest: eliminated.append(steps) or eliminate(steps,
+                                                                   *rest))
     host = random_host(random.Random(47), 9, 15)
     k2_k1 = Graph(3, [(0, 1)])
     assert hom_count(k2_k1, host) == hom_count(path(2), host) * host.n
     assert hom_count(Graph(4, [(0, 1), (2, 3)]), host) == (2 * host.m) ** 2
-    assert eliminated == [path(2), Graph(1)]
-    connected = cycle(5)  # counted as itself, not rebuilt
+    (_, edge), = treedp._counted(path(2))
+    (_, vertex), = treedp._counted(Graph(1))
+    assert len(eliminated) == 2
+    assert eliminated[0] is edge and eliminated[1] is vertex
+    connected = cycle(5)
     assert hom_count(connected, host) == brute_hom(connected, host)
-    assert eliminated[2] is connected
+    (comp, width, order), = treedp._plan(connected)[2]
+    assert comp is None
+    assert eliminated[2] is treedp._steps(connected, order, width)[1]
 
 
 def test_equal_root_ids_give_equal_counts():
@@ -711,11 +729,11 @@ def test_equal_root_ids_give_equal_counts():
         if connected_components(pattern)[0] != 1:
             continue
         for graph in (pattern, canonical_representative(pattern)):
-            (root, comp, order, width), = treedp._counted(graph)
-            assert comp is None and root == treedp._steps(
-                graph, order, width)[0]
-            count = treedp._eliminate(graph, host, order, width,
-                                      treedp._store(host))
+            (root, steps), = treedp._counted(graph)
+            (comp, width, order), = treedp._plan(graph)[2]
+            assert comp is None and (root, steps) == treedp._steps(
+                graph, order, width)
+            count = treedp._eliminate(steps, host, treedp._store(host))
             shared += root in counts
             assert counts.setdefault(root, count) == count
     assert shared > 100 and len(counts) > 100
@@ -752,8 +770,7 @@ def test_no_step_builds_a_table_that_nothing_reads():
                 _, steps = treedp._steps(comp, order, width)
                 assert not any(k in frees for k, (_, _, _, frees)
                                in enumerate(steps[:-1]))
-                count *= treedp._eliminate(comp, host, order, width,
-                                           treedp._store(host))
+                count *= treedp._eliminate(steps, host, treedp._store(host))
             assert count == expected
     # Vertex 6's bucket takes the table that vertex 2's built: the order
     # runs one vector step and two joins, not two vector steps.
@@ -909,13 +926,14 @@ def test_a_new_host_after_the_newest_store_died():
 def test_clear_between_warm_queries_forgets_the_counts(monkeypatch):
     """``hom_cache_clear`` between two warm queries on one host forgets
     every count: the next query counts each distinct component again,
-    into a new store, and the one after it counts none."""
+    into a new store under the ids its plan already held, and the one
+    after it counts none."""
     host = random_host(random.Random(179), 9, 15)
     pattern = Graph(5, [(0, 1), (1, 2), (3, 4)])
     value = count_restricted(EMB, pattern, host)
     assert count_restricted(EMB, pattern, host) == value
     roots = {root for term in expand(EMB, pattern).terms
-             for root, _, _, _ in treedp._counted(term.graph)}
+             for root, _ in treedp._counted(term.graph)}
     old = treedp._store(host)
     treedp.hom_cache_clear()
     eliminated = []
@@ -925,8 +943,32 @@ def test_clear_between_warm_queries_forgets_the_counts(monkeypatch):
     assert count_restricted(EMB, pattern, host) == value
     assert treedp._store(host) is not old
     assert len(eliminated) == treedp.hom_cache_info().misses == len(roots)
+    assert {k for k, v in treedp._store(host).items()
+            if type(v) is int} == roots
     assert count_restricted(EMB, pattern, host) == value
     assert len(eliminated) == len(roots)
+
+
+def test_ids_after_a_clear_exceed_every_id_before(monkeypatch):
+    """``_intern`` never reissues an id: after ``hom_cache_clear`` the
+    same step keys take new ids, each larger than every id given
+    before, so a plan built before the clear names nothing stored after
+    it."""
+    given = {}
+    intern = treedp._intern
+    monkeypatch.setattr(treedp, "_intern", lambda key: given.setdefault(
+        key, intern(key)))
+    patterns = [p for p in graphs_up_to(5) if p.m]
+    for pattern in patterns:
+        treedp._counted(pattern)
+    before, given = given, {}
+    treedp.hom_cache_clear()
+    treedp._steps.cache_clear()
+    treedp._counted.cache_clear()
+    for pattern in patterns:
+        treedp._counted(pattern)
+    assert given.keys() == before.keys() and len(given) > 20
+    assert min(given.values()) > max(before.values())
 
 
 def _later_neighbours(graph, order):
